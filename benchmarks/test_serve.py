@@ -32,7 +32,6 @@ import time
 import pytest
 
 from repro.bench.reporting import write_bench_artifact
-from repro.core.index import use_kernel_backend
 from repro.data.datasets import make_census
 from repro.serve import AnonymizationService
 from repro.stream import StreamingAnonymizer
@@ -93,68 +92,67 @@ def test_release_serving_throughput():
     sigma = proportion_constraints(relation, N_CONSTRAINTS, k=K, lower_cap=8, seed=0)
     rows = [row for _, row in relation]
 
-    with use_kernel_backend("vectorized"):
-        engine = StreamingAnonymizer(
-            relation.schema, sigma, K,
-            bootstrap=BOOTSTRAP, seed=0, solver="auto",
-        )
-        service = AnonymizationService(engine, micro_batch=MICRO_BATCH)
-        with ServiceThread(service) as running:
-            conn = http.client.HTTPConnection("127.0.0.1", running.port)
+    engine = StreamingAnonymizer(
+        relation.schema, sigma, K,
+        bootstrap=BOOTSTRAP, seed=0, solver="auto",
+    )
+    service = AnonymizationService(engine, micro_batch=MICRO_BATCH)
+    with ServiceThread(service) as running:
+        conn = http.client.HTTPConnection("127.0.0.1", running.port)
 
-            # -- ingest-to-publish ------------------------------------------
-            ingest_latencies: list[float] = []
-            publish_latencies: list[float] = []
-            for begin in range(0, len(rows), MICRO_BATCH):
-                payload = json.dumps(
-                    {"rows": [list(r) for r in rows[begin:begin + MICRO_BATCH]]}
-                )
-                start = time.perf_counter()
-                conn.request(
-                    "POST", "/ingest", body=payload,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-                body = json.loads(response.read())
-                elapsed = time.perf_counter() - start
-                assert response.status == 202
-                ingest_latencies.append(elapsed)
-                if body["published"]:
-                    publish_latencies.append(elapsed)
-            conn.request("POST", "/flush", body="{}")
+        # -- ingest-to-publish ------------------------------------------
+        ingest_latencies: list[float] = []
+        publish_latencies: list[float] = []
+        for begin in range(0, len(rows), MICRO_BATCH):
+            payload = json.dumps(
+                {"rows": [list(r) for r in rows[begin:begin + MICRO_BATCH]]}
+            )
+            start = time.perf_counter()
+            conn.request(
+                "POST", "/ingest", body=payload,
+                headers={"Content-Type": "application/json"},
+            )
             response = conn.getresponse()
-            response.read()
+            body = json.loads(response.read())
+            elapsed = time.perf_counter() - start
             assert response.status == 202
-            assert engine.release is not None
+            ingest_latencies.append(elapsed)
+            if body["published"]:
+                publish_latencies.append(elapsed)
+        conn.request("POST", "/flush", body="{}")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 202
+        assert engine.release is not None
 
-            # -- release fetches --------------------------------------------
+        # -- release fetches --------------------------------------------
+        conn.request("GET", "/release")
+        response = conn.getresponse()
+        etag = response.getheader("ETag")
+        body_bytes = len(response.read())
+        assert response.status == 200 and etag
+
+        full_latencies: list[float] = []
+        for _ in range(FETCH_SAMPLES):
+            start = time.perf_counter()
             conn.request("GET", "/release")
             response = conn.getresponse()
-            etag = response.getheader("ETag")
-            body_bytes = len(response.read())
-            assert response.status == 200 and etag
+            response.read()
+            full_latencies.append(time.perf_counter() - start)
+            assert response.status == 200
 
-            full_latencies: list[float] = []
-            for _ in range(FETCH_SAMPLES):
-                start = time.perf_counter()
-                conn.request("GET", "/release")
-                response = conn.getresponse()
-                response.read()
-                full_latencies.append(time.perf_counter() - start)
-                assert response.status == 200
+        revalidate_latencies: list[float] = []
+        for _ in range(FETCH_SAMPLES):
+            start = time.perf_counter()
+            conn.request("GET", "/release", headers={"If-None-Match": etag})
+            response = conn.getresponse()
+            response.read()
+            revalidate_latencies.append(time.perf_counter() - start)
+            assert response.status == 304
 
-            revalidate_latencies: list[float] = []
-            for _ in range(FETCH_SAMPLES):
-                start = time.perf_counter()
-                conn.request("GET", "/release", headers={"If-None-Match": etag})
-                response = conn.getresponse()
-                response.read()
-                revalidate_latencies.append(time.perf_counter() - start)
-                assert response.status == 304
-
-            conn.request("GET", "/metrics")
-            metrics_text = conn.getresponse().read().decode()
-            conn.close()
+        conn.request("GET", "/metrics")
+        metrics_text = conn.getresponse().read().decode()
+        conn.close()
 
     full_p50 = percentile(full_latencies, 0.50)
     revalidate_p50 = percentile(revalidate_latencies, 0.50)
@@ -172,7 +170,6 @@ def test_release_serving_throughput():
         "k": K,
         "micro_batch": MICRO_BATCH,
         "bootstrap": BOOTSTRAP,
-        "backend": "vectorized",
         "release_body_bytes": body_bytes,
         "fetch_samples": FETCH_SAMPLES,
         "fetch_p50_s": round(full_p50, 6),

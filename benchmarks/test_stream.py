@@ -1,12 +1,12 @@
 """Streaming-engine benchmark: amortized publish cost vs full re-runs.
 
 Replays a census-shaped relation through :class:`repro.stream.
-StreamingAnonymizer` in micro-batches on the vectorized backend and
-records the result through the run registry (``benchmarks/results/
-runs/`` plus the ``BENCH_stream.json`` duplicate): per-batch publish
-latencies, the extend-vs-recompute split, and — the headline number — the
-*amortized* per-batch publish cost next to the cost of the naive
-alternative, re-running full DIVA on the whole history for every batch.
+StreamingAnonymizer` in micro-batches and records the result through the
+run registry (``benchmarks/results/runs/`` plus the ``BENCH_stream.json``
+duplicate): per-batch publish latencies, the extend-vs-recompute split,
+and — the headline number — the *amortized* per-batch publish cost next
+to the cost of the naive alternative, re-running full DIVA on the whole
+history for every batch.
 
 Excluded from tier-1 runs by the ``bench`` marker (``pyproject.toml``
 defaults to ``-m "not bench"``); run with::
@@ -27,7 +27,6 @@ import pytest
 
 from repro.bench.reporting import write_bench_artifact
 from repro.core.diva import run_diva
-from repro.core.index import use_kernel_backend
 from repro.data.datasets import make_census
 from repro.metrics.stats import is_k_anonymous
 from repro.stream import StreamingAnonymizer
@@ -54,34 +53,33 @@ def test_amortized_publish_cost_below_full_rerun():
     )
     rows = [row for _, row in relation]
 
-    with use_kernel_backend("vectorized"):
-        # The naive per-batch alternative: full DIVA over the whole history.
-        start = time.perf_counter()
-        full = run_diva(relation, sigma, K, seed=0)
-        full_diva_s = time.perf_counter() - start
-        assert is_k_anonymous(full.relation, K)
+    # The naive per-batch alternative: full DIVA over the whole history.
+    start = time.perf_counter()
+    full = run_diva(relation, sigma, K, seed=0)
+    full_diva_s = time.perf_counter() - start
+    assert is_k_anonymous(full.relation, K)
 
-        engine = StreamingAnonymizer(
-            relation.schema, sigma, K, bootstrap=BOOTSTRAP, seed=0
-        )
-        batch_latencies: list[float] = []
-        publish_latencies: list[float] = []
-        for begin in range(0, len(rows), BATCH_SIZE):
-            batch = rows[begin:begin + BATCH_SIZE]
-            start = time.perf_counter()
-            release = engine.ingest(batch)
-            elapsed = time.perf_counter() - start
-            batch_latencies.append(elapsed)
-            if release is not None:
-                publish_latencies.append(elapsed)
+    engine = StreamingAnonymizer(
+        relation.schema, sigma, K, bootstrap=BOOTSTRAP, seed=0
+    )
+    batch_latencies: list[float] = []
+    publish_latencies: list[float] = []
+    for begin in range(0, len(rows), BATCH_SIZE):
+        batch = rows[begin:begin + BATCH_SIZE]
         start = time.perf_counter()
-        final = engine.flush()
-        flush_s = time.perf_counter() - start
-        if final is None:
-            final = engine.release
-        assert final is not None
-        assert is_k_anonymous(final.relation, K)
-        assert sigma.is_satisfied_by(final.relation)
+        release = engine.ingest(batch)
+        elapsed = time.perf_counter() - start
+        batch_latencies.append(elapsed)
+        if release is not None:
+            publish_latencies.append(elapsed)
+    start = time.perf_counter()
+    final = engine.flush()
+    flush_s = time.perf_counter() - start
+    if final is None:
+        final = engine.release
+    assert final is not None
+    assert is_k_anonymous(final.relation, K)
+    assert sigma.is_satisfied_by(final.relation)
 
     stats = engine.stats
     stream_total_s = sum(batch_latencies) + flush_s
@@ -92,7 +90,6 @@ def test_amortized_publish_cost_below_full_rerun():
         "n_constraints": len(sigma),
         "batch_size": BATCH_SIZE,
         "bootstrap": BOOTSTRAP,
-        "backend": "vectorized",
         "full_diva_s": round(full_diva_s, 6),
         "stream_total_s": round(stream_total_s, 6),
         "amortized_batch_s": round(amortized_batch_s, 6),

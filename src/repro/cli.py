@@ -540,16 +540,34 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return _render_trace_payload(payload, args)
 
 
+def _compare_error(message: str) -> int:
+    print(f"repro compare: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     """Compare a candidate run against a baseline; exit 1 on regression.
 
     The baseline is ``--against PATH`` when given, otherwise the most
     recent registry run with the candidate's label (excluding the
     candidate itself) — the run-vs-registry-baseline mode.
+
+    Exits 2 with a one-line diagnostic when the candidate or ``--against``
+    file is missing, truncated or not a run record: unreadable input must
+    never pass for a regression (exit 1) in a CI gate.
     """
-    candidate = obs.load_run(args.candidate)
+    records = {}
+    for path in filter(None, (args.candidate, args.against)):
+        try:
+            records[path] = obs.load_run(path)
+        except OSError as exc:
+            return _compare_error(f"{path}: {exc.strerror or exc}")
+        except ValueError as exc:
+            # json.JSONDecodeError is a ValueError, as is a non-record.
+            return _compare_error(f"{path}: unreadable run record ({exc})")
+    candidate = records[args.candidate]
     if args.against:
-        baseline = obs.load_run(args.against)
+        baseline = records[args.against]
     else:
         registry = obs.RunRegistry(args.registry)
         baseline = registry.latest(

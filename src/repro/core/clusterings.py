@@ -18,8 +18,6 @@ exhaustive and reproduces the paper's listed clusterings exactly.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Sequence
 from typing import Optional
 
@@ -29,27 +27,8 @@ from .. import obs
 from ..data.relation import Relation
 from .constraints import DiversityConstraint
 from .costmodel import enumeration_size_caps
-from .enumeration import (  # noqa: F401  (re-exported for back-compat)
-    EXHAUSTIVE_COMBINATION_LIMIT,
-    PARTITIONS_PER_SUBSET,
-    SMALL_SUBSET_LIMIT,
-    _clustering_key,
-    _partitions_min_block,
-    enumerate_pool,
-)
-from .index import RelationIndex, get_index, vectorized_enabled
-from .suppress import normalize_clustering
-
-
-def qi_hamming_rows(row_a: Sequence, row_b: Sequence) -> int:
-    """Hamming distance between two pre-projected QI row tuples.
-
-    The one shared reference kernel behind every pure-Python similarity
-    loop (partitioning, subset seeding, dynamic candidates); the vectorized
-    backend replaces calls to it with broadcasted reductions on
-    :class:`~repro.core.index.RelationIndex`.
-    """
-    return sum(1 for x, y in zip(row_a, row_b) if x != y)
+from .enumeration import enumerate_pool
+from .index import get_index
 
 
 def qi_distance(relation: Relation, tid_a: int, tid_b: int) -> int:
@@ -59,19 +38,7 @@ def qi_distance(relation: Relation, tid_a: int, tid_b: int) -> int:
     star out if the two tuples were clustered alone together, so it doubles
     as the suppression-cost metric used to order candidates.
     """
-    if vectorized_enabled():
-        return get_index(relation).qi_hamming(tid_a, tid_b)
-    return qi_distance_reference(relation, tid_a, tid_b)
-
-
-def qi_distance_reference(relation: Relation, tid_a: int, tid_b: int) -> int:
-    """Pure-Python :func:`qi_distance` (the reference backend)."""
-    schema = relation.schema
-    row_a, row_b = relation.row(tid_a), relation.row(tid_b)
-    positions = [schema.position(a) for a in schema.qi_names]
-    return qi_hamming_rows(
-        tuple(row_a[p] for p in positions), tuple(row_b[p] for p in positions)
-    )
+    return get_index(relation).qi_hamming(tid_a, tid_b)
 
 
 def cluster_suppression_cost(relation: Relation, cluster: frozenset) -> int:
@@ -79,18 +46,7 @@ def cluster_suppression_cost(relation: Relation, cluster: frozenset) -> int:
 
     Cost = (#QI attributes with >1 distinct value in the cluster) × |cluster|.
     """
-    if vectorized_enabled():
-        return get_index(relation).cluster_cost(frozenset(cluster))
-    return cluster_suppression_cost_reference(relation, cluster)
-
-
-def cluster_suppression_cost_reference(relation: Relation, cluster: frozenset) -> int:
-    """Pure-Python :func:`cluster_suppression_cost` (the reference backend)."""
-    schema = relation.schema
-    positions = [schema.position(a) for a in schema.qi_names]
-    rows = [relation.row(tid) for tid in cluster]
-    varying = sum(1 for p in positions if len({r[p] for r in rows}) > 1)
-    return varying * len(rows)
+    return get_index(relation).cluster_cost(frozenset(cluster))
 
 
 def clustering_suppression_cost(
@@ -98,14 +54,10 @@ def clustering_suppression_cost(
 ) -> int:
     """Total suppression cost of a clustering (sum over clusters).
 
-    The vectorized backend scores all memo-missing clusters in a single
-    batched segment reduction (see ``RelationIndex.clustering_cost``).
+    All memo-missing clusters are scored in a single batched segment
+    reduction (see ``RelationIndex.clustering_cost``).
     """
-    if vectorized_enabled():
-        return get_index(relation).clustering_cost(clustering)
-    return sum(
-        cluster_suppression_cost_reference(relation, c) for c in clustering
-    )
+    return get_index(relation).clustering_cost(clustering)
 
 
 def preserved_count(
@@ -126,142 +78,10 @@ def preserved_count(
     QI component (otherwise it contributes zero: the QI value is either
     wrong or starred for the whole cluster).
 
-    Dispatches to the memoized mask/uniformity kernel of
-    :class:`~repro.core.index.RelationIndex` unless the reference backend
-    is active.
+    Runs the memoized mask/uniformity kernel of
+    :class:`~repro.core.index.RelationIndex`.
     """
-    if vectorized_enabled():
-        return get_index(relation).preserved_count_many(clusters, sigma)
-    return preserved_count_reference(relation, clusters, sigma)
-
-
-def preserved_count_reference(
-    relation: Relation, clusters: Sequence[frozenset], sigma: DiversityConstraint
-) -> int:
-    """Pure-Python :func:`preserved_count` (the reference backend)."""
-    schema = relation.schema
-    qi = set(schema.qi_names)
-    parts = [
-        (schema.position(a), a in qi, v) for a, v in zip(sigma.attrs, sigma.values)
-    ]
-    total = 0
-    for cluster in clusters:
-        rows = [relation.row(tid) for tid in cluster]
-        qi_ok = True
-        for pos, is_qi, value in parts:
-            if is_qi:
-                values = {r[pos] for r in rows}
-                if len(values) != 1 or value not in values:
-                    qi_ok = False
-                    break
-        if not qi_ok:
-            continue
-        total += sum(
-            1
-            for r in rows
-            if all(is_qi or r[pos] == value for pos, is_qi, value in parts)
-        )
-    return total
-
-
-def greedy_k_partition(
-    items: tuple[int, ...],
-    k: int,
-    qi_rows: Optional[dict[int, tuple]] = None,
-    index: Optional[RelationIndex] = None,
-) -> tuple[frozenset, ...]:
-    """Partition ``items`` into similarity-chunked blocks of size ≥ k.
-
-    Repeatedly seeds a block with the first remaining tuple and fills it
-    with its k−1 nearest neighbours (QI Hamming distance); the final block
-    absorbs the < k leftovers, so every block has size in [k, 2k).  This is
-    the workhorse partition for large target subsets, where enumerating set
-    partitions is hopeless but one low-suppression partition suffices.
-
-    Pass ``index`` to run the vectorized kernel, or ``qi_rows`` (a tid →
-    projected-QI-tuple map) for the pure-Python reference; both produce the
-    identical partition.
-    """
-    if index is not None:
-        return index.greedy_k_partition(items, k)
-    if qi_rows is None:
-        raise ValueError("greedy_k_partition needs either qi_rows or index")
-
-    remaining = list(items)
-    blocks: list[frozenset] = []
-    while len(remaining) >= 2 * k:
-        seed_row = qi_rows[remaining[0]]
-        remaining.sort(key=lambda t: (qi_hamming_rows(seed_row, qi_rows[t]), t))
-        blocks.append(frozenset(remaining[:k]))
-        remaining = remaining[k:]
-    blocks.append(frozenset(remaining))
-    return tuple(blocks)
-
-
-def _nearest_by_hamming(
-    seed: int,
-    candidates: list[int],
-    qi_rows: Optional[dict[int, tuple]],
-    index: Optional[RelationIndex],
-) -> list[int]:
-    """``candidates`` ordered by QI Hamming distance to ``seed``.
-
-    Ties keep ascending-tid order (``candidates`` arrive sorted), so the
-    vectorized lexsort and the stable pure-Python sort agree exactly.
-    """
-    if index is not None:
-        arr = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
-        order = np.lexsort((arr, index.hamming_from(seed, candidates)))
-        return arr[order].tolist()
-    seed_row = qi_rows[seed]
-    return sorted(candidates, key=lambda t: qi_hamming_rows(seed_row, qi_rows[t]))
-
-
-def _similarity_seeded_subsets(
-    qi_rows: Optional[dict[int, tuple]],
-    pool: list[int],
-    size: int,
-    rng: np.random.Generator,
-    cap: int,
-    index: Optional[RelationIndex] = None,
-) -> list[tuple[int, ...]]:
-    """Sampled subsets of ``pool``: greedy nearest-neighbour seeds + random.
-
-    Used when exhaustive combination enumeration would be too large.  Each
-    pool tuple seeds one subset grown by repeatedly adding the closest (by
-    QI Hamming distance) remaining tuple — these are the low-suppression
-    candidates.  Random subsets fill the remainder for search diversity.
-
-    ``rng.choice`` yields NumPy integer scalars; both sampled paths coerce
-    to built-in ``int`` at the boundary so sampled subsets carry the same
-    tid types (and dedup keys) as the exhaustive ``itertools`` path.
-    """
-    subsets: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    seeds = pool if len(pool) <= cap else [
-        int(t) for t in rng.choice(pool, size=cap, replace=False)
-    ]
-
-    for seed in seeds:
-        candidates = [t for t in pool if t != seed]
-        candidates = _nearest_by_hamming(seed, candidates, qi_rows, index)
-        chosen = [seed] + candidates[: size - 1]
-        key = tuple(sorted(chosen))
-        if len(key) == size and key not in seen:
-            seen.add(key)
-            subsets.append(key)
-        if len(subsets) >= cap:
-            return subsets
-    attempts = 0
-    while len(subsets) < cap and attempts < 4 * cap:
-        attempts += 1
-        pick = tuple(
-            int(t) for t in sorted(rng.choice(pool, size=size, replace=False))
-        )
-        if pick not in seen:
-            seen.add(pick)
-            subsets.append(pick)
-    return subsets
+    return get_index(relation).preserved_count_many(clusters, sigma)
 
 
 def enumerate_clusterings(
@@ -284,12 +104,10 @@ def enumerate_clusterings(
     ``target_tids`` lets callers pass a precomputed ``Iσ`` (e.g. the graph
     builder already has it).
 
-    The vectorized backend dispatches the generation to the memoized
-    rank-space engine (:mod:`repro.core.enumeration`); the reference
-    backend runs :func:`_enumerate_generic`, the retained pure-Python
-    oracle the engine is pinned byte-identical against.  Both share the
-    cost-model per-size sampling caps, emit the ``enum.generate`` span
-    and report subsets-generated / dominated-pruned counters.
+    Generation runs on the memoized rank-space engine
+    (:func:`repro.core.enumeration.enumerate_pool`) under the cost-model
+    per-size sampling caps, inside the ``enum.generate`` span, and reports
+    subsets-generated / dominated-pruned counters.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -319,30 +137,17 @@ def enumerate_clusterings(
     budget = max_candidates * 3  # oversample, then keep the cheapest
     caps = enumeration_size_caps(lo, hi, budget, k, schema=relation.schema)
     with obs.span(obs.SPAN_ENUM_GENERATE):
-        if vectorized_enabled():
-            body, generated, pruned = enumerate_pool(
-                get_index(relation),
-                pool,
-                k,
-                lo,
-                hi,
-                max_candidates,
-                caps,
-                rng,
-                already=len(candidates),
-            )
-        else:
-            body, generated, pruned = _enumerate_generic(
-                relation,
-                pool,
-                k,
-                lo,
-                hi,
-                max_candidates,
-                caps,
-                rng,
-                already=len(candidates),
-            )
+        body, generated, pruned = enumerate_pool(
+            get_index(relation),
+            pool,
+            k,
+            lo,
+            hi,
+            max_candidates,
+            caps,
+            rng,
+            already=len(candidates),
+        )
     if obs.enabled():
         obs.incr_many(
             {
@@ -353,98 +158,3 @@ def enumerate_clusterings(
     candidates.extend(body)
     return candidates
 
-
-def _enumerate_generic(
-    relation: Relation,
-    pool: list[int],
-    k: int,
-    lo: int,
-    hi: int,
-    max_candidates: int,
-    caps: dict[int, int],
-    rng: np.random.Generator,
-    already: int = 0,
-    index: Optional[RelationIndex] = None,
-) -> tuple[list[tuple[frozenset, ...]], int, int]:
-    """Reference enumeration body: the oracle the vectorized engine is
-    pinned against.
-
-    Generates subsets and partitions one at a time (``itertools`` loops,
-    one kernel/reference call per seed ordering, partition and score),
-    then full-sorts, dedups and caps.  Returns ``(clusterings,
-    subsets_generated, dominated_pruned)``; ``already`` counts caller-
-    seeded candidates toward the cap.  Pass ``index`` to score and order
-    through per-call :class:`RelationIndex` kernels — the pre-engine
-    vectorized path, kept measurable for the enumeration benchmark.
-    """
-    if index is None:
-        schema = relation.schema
-        qi_positions = [schema.position(a) for a in schema.qi_names]
-        qi_rows: Optional[dict[int, tuple]] = {
-            tid: tuple(relation.row(tid)[p] for p in qi_positions) for tid in pool
-        }
-    else:
-        qi_rows = None
-
-    def cost_of(clustering: tuple[frozenset, ...]) -> int:
-        if index is not None:
-            return index.clustering_cost(clustering)
-        total = 0
-        for cluster in clustering:
-            rows = [qi_rows[tid] for tid in cluster]
-            varying = sum(
-                1 for col in zip(*rows) if len(set(col)) > 1
-            )
-            total += varying * len(rows)
-        return total
-
-    scored: list[tuple[int, int, tuple[frozenset, ...]]] = []
-    generated = 0
-    budget = max_candidates * 3  # oversample, then keep the cheapest
-    for size in range(lo, hi + 1):
-        if len(scored) >= budget:
-            break
-        n_combos = _n_combinations(len(pool), size)
-        if n_combos <= EXHAUSTIVE_COMBINATION_LIMIT:
-            subsets = list(itertools.combinations(pool, size))
-        else:
-            subsets = _similarity_seeded_subsets(
-                qi_rows, pool, size, rng, caps[size], index=index
-            )
-        generated += len(subsets)
-        for subset in subsets:
-            if len(subset) <= SMALL_SUBSET_LIMIT:
-                partitions = _partitions_min_block(
-                    subset, k, PARTITIONS_PER_SUBSET
-                )
-            else:
-                partitions = [greedy_k_partition(subset, k, qi_rows, index=index)]
-            for partition in partitions:
-                clustering = normalize_clustering(partition)
-                scored.append((cost_of(clustering), size, clustering))
-                if len(scored) >= budget:
-                    break
-            if len(scored) >= budget:
-                break
-
-    scored.sort(key=lambda item: (item[0], item[1], _clustering_key(item[2])))
-    seen: set[tuple] = set()
-    body: list[tuple[frozenset, ...]] = []
-    total = already
-    for cost, size, clustering in scored:
-        key = _clustering_key(clustering)
-        if key in seen:
-            continue
-        seen.add(key)
-        body.append(clustering)
-        total += 1
-        if total >= max_candidates:
-            break
-    return body, generated, len(scored) - len(body)
-
-
-def _n_combinations(n: int, r: int) -> int:
-    """C(n, r) without overflow surprises (n, r are small here)."""
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)

@@ -178,9 +178,10 @@ def enumeration_size_caps(
     ascending-size loop visits first, are exhausted before the budget runs
     out on expensive large ones.
 
-    Both kernel backends consult this one policy (it feeds the enumeration
+    The enumeration engine and the reference enumeration of the test
+    oracle both consult this one policy (it also feeds the enumeration
     memo key), so calibration shifts sampling identically everywhere and
-    cross-backend equivalence is preserved.
+    their equivalence is preserved.
     """
     if hi < lo:
         return {}

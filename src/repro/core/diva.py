@@ -45,11 +45,30 @@ from .constraints import ConstraintSet, DiversityConstraint
 from .enumeration import get_enum_memo
 from .searchstate import get_contribution_memo
 from .errors import UnsatisfiableError
-from .index import get_index, vectorized_enabled
+from .index import get_index
 from .integrate import IntegrationReport, integrate
 from .problem import KSigmaProblem
 from .strategies import SelectionStrategy, make_strategy
 from .suppress import covered_tids, suppress
+
+#: Run-level effort counters, each the per-run delta of one cumulative tally.
+_EFFORT_COUNTERS = (
+    (obs.INDEX_CLUSTER_CACHE_HITS, "cluster_cache_hits"),
+    (obs.INDEX_CLUSTER_CACHE_MISSES, "cluster_cache_misses"),
+    (obs.ENUM_MEMO_HITS, "enum_memo_hits"),
+    (obs.ENUM_MEMO_MISSES, "enum_memo_misses"),
+    (obs.SEARCH_MEMO_HITS, "search_memo_hits"),
+    (obs.SEARCH_MEMO_MISSES, "search_memo_misses"),
+)
+
+
+def _effort_totals(relation: Relation) -> dict[str, int]:
+    """Cumulative index-cache, enumeration-memo and contribution-memo tallies."""
+    return (
+        get_index(relation).cache_stats()
+        | get_enum_memo().stats()
+        | get_contribution_memo().stats()
+    )
 
 
 @dataclass
@@ -217,16 +236,10 @@ class Diva:
         problem = KSigmaProblem(relation, constraints, k)
         rng = self._fresh_rng()
 
-        # Kernel cluster-cache and enumeration-memo counters are cumulative
-        # (the index and the process-global memo outlive any single run),
-        # so report this run's contribution as deltas.
-        cache_before = None
-        enum_before = None
-        search_before = None
-        if obs.enabled() and vectorized_enabled():
-            cache_before = dict(get_index(relation).cache_stats())
-            enum_before = dict(get_enum_memo().stats())
-            search_before = dict(get_contribution_memo().stats())
+        # Kernel cluster-cache and memo counters are cumulative (the index
+        # and the process-global memos outlive any single run), so report
+        # this run's contribution as deltas.
+        effort_before = _effort_totals(relation) if obs.enabled() else None
 
         active = constraints
         dropped: list[DiversityConstraint] = []
@@ -302,35 +315,10 @@ class Diva:
                 obs.SUPPRESS_CELLS_STARRED: final.star_count(),
                 obs.DIVA_CONSTRAINTS_DROPPED: len(dropped),
             }
-            if cache_before is not None:
-                cache_after = get_index(relation).cache_stats()
-                run_counters[obs.INDEX_CLUSTER_CACHE_HITS] = (
-                    cache_after["cluster_cache_hits"]
-                    - cache_before["cluster_cache_hits"]
-                )
-                run_counters[obs.INDEX_CLUSTER_CACHE_MISSES] = (
-                    cache_after["cluster_cache_misses"]
-                    - cache_before["cluster_cache_misses"]
-                )
-            if enum_before is not None:
-                enum_after = get_enum_memo().stats()
-                run_counters[obs.ENUM_MEMO_HITS] = (
-                    enum_after["enum_memo_hits"] - enum_before["enum_memo_hits"]
-                )
-                run_counters[obs.ENUM_MEMO_MISSES] = (
-                    enum_after["enum_memo_misses"]
-                    - enum_before["enum_memo_misses"]
-                )
-            if search_before is not None:
-                search_after = get_contribution_memo().stats()
-                run_counters[obs.SEARCH_MEMO_HITS] = (
-                    search_after["search_memo_hits"]
-                    - search_before["search_memo_hits"]
-                )
-                run_counters[obs.SEARCH_MEMO_MISSES] = (
-                    search_after["search_memo_misses"]
-                    - search_before["search_memo_misses"]
-                )
+            if effort_before is not None:
+                effort_after = _effort_totals(relation)
+                for name, key in _EFFORT_COUNTERS:
+                    run_counters[name] = effort_after[key] - effort_before[key]
             obs.incr_many(run_counters)
 
         return DivaResult(

@@ -1,12 +1,11 @@
 """Columnar candidate-enumeration engine for ``Clusterings(σ, R)``.
 
-:func:`repro.core.clusterings.enumerate_clusterings` used to materialize
-subsets and partitions through pure-Python ``itertools`` loops with one
-kernel call per seed ordering, per partition round and per scored
-clustering — the 53% hot path once the kernels themselves went columnar.
-This module replaces the generation pipeline for the vectorized backend
-while reproducing the reference enumeration **byte for byte** (same
-clusterings, same order, built-in ``int`` tids):
+This is the generation pipeline behind
+:func:`repro.core.clusterings.enumerate_clusterings`.  It reproduces the
+pure-Python reference enumeration of the test oracle (``tests/oracle.py``:
+``itertools`` loops, one kernel call per seed ordering, per partition
+round and per scored clustering) **byte for byte** (same clusterings,
+same order, built-in ``int`` tids):
 
 * **Rank space** — the target pool ``Iσ`` is sorted ascending, so rank
   ``r`` ↔ ``pool[r]`` is a monotone bijection.  Every step of the
@@ -43,7 +42,7 @@ Enumeration memo
 ----------------
 :class:`EnumerationMemo` caches finished enumerations under a
 **content-addressed** key: the pool's QI-value sequence plus
-``(k, λ-window, max_candidates, per-size caps, backend limits)``.  Keying
+``(k, λ-window, max_candidates, per-size caps, enumeration limits)``.  Keying
 on values rather than tids or code matrices lets identical pools share
 work across constraints, across components in the parallel scheduler,
 and across streaming publishes — the streaming engine rebuilds a fresh

@@ -1,13 +1,11 @@
 """Columnar incremental search-state engine for the exact coloring search.
 
 :class:`~repro.core.coloring.ColoringSearch` keeps incremental live state —
-per-cluster refcounts, a covered-tid map, per-constraint surviving counts —
-as Python dicts, and re-derives per-candidate contribution sums on every
-consistency check.  After PR 6 vectorized candidate *enumeration*, that
-dict-and-tuple machinery was the last frozenset hot path multiplied by the
-exponential search.  This module is its columnar twin, active only on the
-vectorized backend and **byte-identical** to the reference path by
-construction:
+per-cluster refcounts, a covered-tid map, per-constraint surviving counts.
+This module holds that state columnar, **byte-identical** to the
+pure-Python dict state of the test oracle (``ReferenceColoringSearch`` in
+``tests/oracle.py``), which re-derives per-candidate contribution sums on
+every consistency check:
 
 * **Cluster registry** — every distinct cluster is interned once to a dense
   id carrying its sorted row-index array and its per-constraint
@@ -141,10 +139,9 @@ class ContributionResolver:
 
     Shared by the exact search's engine and the approximation solver so a
     budget-escalated warm start re-reads the records the exact tier already
-    resolved.  ``records`` returns, per cluster, the same
-    ``(node index, surviving-count delta)`` pairs
-    ``ColoringSearch._cluster_contributions`` produces — QI-touching nodes
-    in graph order, zero deltas dropped.
+    resolved.  ``records`` returns, per cluster, its
+    ``(node index, surviving-count delta)`` pairs — QI-touching nodes in
+    graph order, zero deltas dropped.
     """
 
     __slots__ = (
@@ -259,7 +256,7 @@ class ContributionResolver:
         self, clusters: Sequence[frozenset]
     ) -> list[tuple[tuple[int, int], ...]]:
         """Sparse ``(node index, delta)`` records, zero deltas dropped —
-        the exact shape of ``ColoringSearch._cluster_contributions``."""
+        the shape of ``ColoringSearch._contributions``."""
         idxs = self.node_indices
         return [
             tuple((idxs[j], d) for j, d in enumerate(vec) if d)
@@ -304,7 +301,7 @@ def _lockstep_partition(
 class SearchState:
     """Columnar live-assignment state for one coloring search.
 
-    Mirrors the reference dict state (``_cluster_refs`` / ``_covered`` /
+    Holds the reference dict state (``_cluster_refs`` / ``_covered`` /
     ``_counts``) as a cluster registry plus refcount and counter arrays.
     All mutation goes through :meth:`apply`/:meth:`revert`; the dict-shaped
     views exist for tests and debugging, never for the hot path.
@@ -488,9 +485,9 @@ class SearchState:
         return cached
 
     def dynamic_candidates(self, index: int) -> list[Clustering]:
-        """Residual-pool clusterings, byte-identical to the reference
-        ``ColoringSearch._dynamic_candidates`` (see its docstring for the
-        algorithm), with all seeds ordered in one broadcasted Hamming
+        """Residual-pool clusterings (see
+        ``ColoringSearch._dynamic_candidates`` for the algorithm), with all
+        seeds ordered in one broadcasted Hamming
         gather, all subsets partitioned in lockstep rank space, and novel
         clusters contribution-scored in one batch per constraint."""
         node = self.graph.node(index)

@@ -23,8 +23,7 @@ Typical use::
 
 Instrumentation is behavior-neutral by construction — it never touches
 RNG streams or algorithm state — and ``tests/test_obs.py`` asserts DIVA
-output is identical with sinks enabled vs disabled on both kernel
-backends.
+output is identical with sinks enabled vs disabled.
 """
 
 from .names import (  # noqa: F401

@@ -3,7 +3,7 @@
 Every measured run — a bench point, a ``--stats``/``--trace`` CLI run, a
 CI smoke — can be appended to a :class:`RunRegistry`: one schema-versioned
 JSON file per run under ``<root>/runs/``, stamped with the git SHA, a host
-fingerprint and the backend/executor configuration that produced it.
+fingerprint and the executor configuration that produced it.
 Registry records are what ``repro report`` renders and ``repro compare``
 diffs, turning the write-only traces of the raw obs layer into decisions
 (is this PR slower? did the scheduler regress?).
@@ -18,7 +18,7 @@ Record schema (version 1)::
       "created_at": "2026-08-06T12:00:00+00:00",
       "git_sha": "abc123..." | null,
       "host":   {hostname, platform, python, cpus},
-      "config": {backend, executor, workers, ...},  # caller-supplied
+      "config": {executor, workers, ...},  # caller-supplied
       "metrics": {runtime_s: ..., accuracy: ..., ...},
       "obs":    {spans: {...}, counters: {...}} | null,
     }
@@ -88,9 +88,6 @@ def new_record(
     obs_block: Optional[dict] = None,
 ) -> dict:
     """Build a schema-versioned record, stamped but not yet persisted."""
-    if "REPRO_KERNEL_BACKEND" in os.environ:
-        config = dict(config or {})
-        config.setdefault("backend", os.environ["REPRO_KERNEL_BACKEND"])
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,

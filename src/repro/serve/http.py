@@ -120,11 +120,20 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if not sep:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise HttpError(400, f"malformed Content-Length {raw_length!r}")
     if length > MAX_BODY_BYTES:
         raise HttpError(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unterminated IPv6 host: http://[bad
+        raise HttpError(400, f"malformed request target {target!r}")
     query = {
         key: values[-1]
         for key, values in parse_qs(split.query, keep_blank_values=True).items()

@@ -44,7 +44,6 @@ from ..core.diva import Diva
 from ..core.enumeration import get_enum_memo
 from ..core.searchstate import get_contribution_memo
 from ..core.errors import UnsatisfiableError
-from ..core.index import vectorized_enabled
 from ..data.relation import Relation, Schema
 from .admission import AdmissionState, residual_constraints
 from .ledger import Release, ReleaseLedger, ReleaseValidationError
@@ -66,9 +65,9 @@ class StreamStats:
     scoped_deferred: int = 0
     releases: int = 0
     #: Enumeration-memo traffic attributable to this engine's publishes
-    #: (deltas of the process-global memo captured around each publish;
-    #: zero on the reference backend, which has no memo).  Repeated scoped
-    #: recomputes over recurring QI pools show up here as hits.
+    #: (deltas of the process-global memo captured around each publish).
+    #: Repeated scoped recomputes over recurring QI pools show up here as
+    #: hits.
     enum_memo_hits: int = 0
     enum_memo_misses: int = 0
     #: Same pattern for the search-state contribution memo: scoped and full
@@ -423,29 +422,13 @@ class StreamingAnonymizer:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _memo_stats(self) -> Optional[dict[str, int]]:
-        if not vectorized_enabled():
-            return None
-        return dict(get_enum_memo().stats()) | dict(
-            get_contribution_memo().stats()
-        )
+    def _memo_stats(self) -> dict[str, int]:
+        return get_enum_memo().stats() | get_contribution_memo().stats()
 
-    def _record_memo_delta(self, before: Optional[dict[str, int]]) -> None:
-        if before is None:
-            return
-        after = dict(get_enum_memo().stats()) | dict(
-            get_contribution_memo().stats()
-        )
-        self.stats.enum_memo_hits += after["enum_memo_hits"] - before["enum_memo_hits"]
-        self.stats.enum_memo_misses += (
-            after["enum_memo_misses"] - before["enum_memo_misses"]
-        )
-        self.stats.search_memo_hits += (
-            after["search_memo_hits"] - before["search_memo_hits"]
-        )
-        self.stats.search_memo_misses += (
-            after["search_memo_misses"] - before["search_memo_misses"]
-        )
+    def _record_memo_delta(self, before: dict[str, int]) -> None:
+        # Memo tally keys double as the StreamStats field names.
+        for key, after in self._memo_stats().items():
+            setattr(self.stats, key, getattr(self.stats, key) + after - before[key])
 
     def _after_publish(
         self, release: Release, residuals: list[tuple[int, tuple]]

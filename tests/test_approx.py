@@ -29,20 +29,24 @@ from repro.core.approx import (
     approx_loss_bound,
     escalate_from_budget,
 )
-from repro.core.clusterings import clustering_suppression_cost
+from repro.core.clusterings import (
+    clustering_suppression_cost,
+    enumerate_clusterings,
+)
 from repro.core.coloring import (
     SOLVER_TIERS,
+    ColoringSearch,
     SearchBudgetExceeded,
     SearchStats,
     diverse_clustering,
 )
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.diva import Diva, run_diva
-from repro.core.index import use_kernel_backend
 from repro.core.suppress import suppress
 from repro.data.relation import Relation, Schema
 from repro.metrics.diversity_check import check_diversity
 from repro.metrics.stats import is_k_anonymous
+from tests.oracle import ReferenceColoringSearch, reference_contributions
 
 pytestmark = pytest.mark.solver
 
@@ -289,19 +293,17 @@ class TestWarmStart:
 
 
 class TestBackendFidelity:
-    """The budget-escalation pipeline is kernel-backend invariant.
+    """The budget-escalation pipeline matches the pure-Python oracle.
 
     The search-state engine (``repro.core.searchstate``) must not change a
     byte of the ``SearchBudgetExceeded.partial`` payload — the warm start
-    the auto tier escalates from — nor of the escalated result itself.
+    the auto tier escalates from — nor of the escalated result itself, and
+    the approx tier's contribution records must equal the oracle's.
     """
 
-    def _exhaust_under(self, backend, relation, constraints, max_steps):
-        with use_kernel_backend(backend):
-            with pytest.raises(SearchBudgetExceeded) as excinfo:
-                diverse_clustering(
-                    relation, constraints, 2, max_steps=max_steps
-                )
+    def _exhaust(self, search_cls, relation, constraints, max_steps):
+        with pytest.raises(SearchBudgetExceeded) as excinfo:
+            search_cls(relation, constraints, 2, max_steps=max_steps).run()
         return excinfo.value
 
     @pytest.mark.parametrize("max_steps", [1, 3, 7])
@@ -310,11 +312,11 @@ class TestBackendFidelity:
     ):
         """Live-assignment snapshot + partial stats at exhaustion are the
         same whether dict bookkeeping or counter arrays tracked them."""
-        ref = self._exhaust_under(
-            "reference", paper_relation, paper_constraints, max_steps
+        ref = self._exhaust(
+            ReferenceColoringSearch, paper_relation, paper_constraints, max_steps
         )
-        vec = self._exhaust_under(
-            "vectorized", paper_relation, paper_constraints, max_steps
+        vec = self._exhaust(
+            ColoringSearch, paper_relation, paper_constraints, max_steps
         )
         assert vec.partial["assignment"] == ref.partial["assignment"]
         assert (
@@ -324,25 +326,43 @@ class TestBackendFidelity:
     def test_warm_started_escalation_identical_across_backends(
         self, paper_relation, paper_constraints
     ):
-        """``escalate_from_budget`` consumes the backend's own partial and
-        still lands on the identical escalated result."""
+        """``escalate_from_budget`` consumes the oracle's partial and lands
+        on the same escalated result as from production's partial."""
         outcomes = {}
-        for backend in ("reference", "vectorized"):
-            exc = self._exhaust_under(
-                backend, paper_relation, paper_constraints, 1
+        for search_cls in (ReferenceColoringSearch, ColoringSearch):
+            exc = self._exhaust(
+                search_cls, paper_relation, paper_constraints, 1
             )
-            with use_kernel_backend(backend):
-                result = escalate_from_budget(
-                    paper_relation, paper_constraints, 2, exc=exc
-                )
+            result = escalate_from_budget(
+                paper_relation, paper_constraints, 2, exc=exc
+            )
             assert result is not None and result.success
-            outcomes[backend] = {
+            outcomes[search_cls] = {
                 "assignment": result.assignment,
                 "clustering": result.clustering,
                 "satisfied": result.satisfied,
                 "stats": result.stats.as_dict(),
             }
-        assert outcomes["vectorized"] == outcomes["reference"]
+        assert outcomes[ColoringSearch] == outcomes[ReferenceColoringSearch]
+
+    @given(relations(min_rows=6, max_rows=18), constraint_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_contributions_match_reference(self, relation, sigma_set):
+        """Every record the approx tier resolves through the shared
+        ``ContributionResolver`` — for each cluster of every static
+        candidate and of its own result — equals the oracle's."""
+        solver = ApproxSolver(relation, sigma_set, 2)
+        result = solver.run()
+        clusters = set(result.clustering)
+        for node in solver.graph:
+            for clustering in enumerate_clusterings(
+                relation, node.constraint, 2, target_tids=set(node.target_tids)
+            ):
+                clusters.update(clustering)
+        for cluster in clusters:
+            assert solver._contributions(cluster) == reference_contributions(
+                relation, solver.graph, cluster
+            )
 
 
 class TestHeadlineAcceptance:

@@ -336,6 +336,45 @@ class TestReportErrors:
         assert "not a run record" in err
 
 
+class TestCompareErrors:
+    """``repro compare`` exits 2 on unreadable input — never 1, the
+    regression code CI gates read."""
+
+    @staticmethod
+    def record(tmp_path):
+        from repro import obs
+
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(obs.new_record(kind="test", label="x")))
+        return path
+
+    def test_missing_candidate_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        rc = main(
+            ["compare", str(missing), "--against", str(self.record(tmp_path))]
+        )
+        assert rc == 2
+        assert f"repro compare: {missing}:" in capsys.readouterr().err
+
+    def test_missing_baseline_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        rc = main(
+            ["compare", str(self.record(tmp_path)), "--against", str(missing)]
+        )
+        assert rc == 2
+        assert f"repro compare: {missing}:" in capsys.readouterr().err
+
+    def test_truncated_record_exits_2(self, tmp_path, capsys):
+        good = self.record(tmp_path)
+        truncated = tmp_path / "truncated.json"
+        data = good.read_bytes()
+        truncated.write_bytes(data[: len(data) // 2])
+        rc = main(["compare", str(truncated), "--against", str(good)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"repro compare: {truncated}: unreadable run record" in err
+
+
 class TestTraceCommand:
     def stored_payload(self, tmp_path):
         from repro import obs

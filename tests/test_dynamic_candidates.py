@@ -39,7 +39,7 @@ class TestShortfallSizing:
         child_candidate = search.candidates(0)[0]
         search._apply(child_candidate)
         # The parent's count is now ≥ 4 (the cluster is uniform on ETH).
-        assert search._counts[1] >= 4
+        assert search._engine.counts_view()[1] >= 4
         dynamic = search._dynamic_candidates(1)
         assert dynamic == [()]
 
@@ -85,7 +85,7 @@ class TestShortfallSizing:
             if sum(len(x) for x in c) == 6
         )
         search._apply(child)
-        have = search._counts[1]
+        have = search._engine.counts_view()[1]
         for clustering in search._dynamic_candidates(1):
             added = sum(len(c) for c in clustering)
             assert have + added <= 8

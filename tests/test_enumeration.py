@@ -1,10 +1,11 @@
 """Tests for the columnar candidate-enumeration engine (``repro.core.enumeration``).
 
-Pins the engine byte-identical to the reference enumeration (content,
-order, tid types and RNG stream), the content-addressed memo's
-transparency (warm results and generator states match cold runs exactly),
-the cost-model per-size sampling caps shared by both backends, and the
-np.int64-coercion regression in the reference sampled path.
+Pins the engine byte-identical to the reference enumeration of
+``tests/oracle.py`` (content, order, tid types and RNG stream), the
+content-addressed memo's transparency (warm results and generator states
+match cold runs exactly), the cost-model per-size sampling caps both
+consult, and the np.int64-coercion regression in the reference sampled
+path.
 """
 
 from __future__ import annotations
@@ -16,19 +17,16 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import costmodel
-from repro.core.clusterings import (
-    _similarity_seeded_subsets,
-    enumerate_clusterings,
-)
+from repro.core.clusterings import enumerate_clusterings
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.costmodel import CostModel, enumeration_size_caps, schema_key
 from repro.core.diva import Diva
 from repro.core.enumeration import get_enum_memo
-from repro.core.index import use_kernel_backend
 from repro.data.datasets import make_census
 from repro.data.relation import Relation, Schema
 from repro.stream import StreamingAnonymizer
 from repro.workloads.constraint_gen import proportion_constraints
+from tests.oracle import reference_enumeration, similarity_seeded_subsets
 
 
 @pytest.fixture(autouse=True)
@@ -54,25 +52,25 @@ class TestSampledPathIntCoercion:
         rng = np.random.default_rng(3)
         # cap < len(pool) forces sampled seeds; small cap leaves room for
         # the random-fill loop too.
-        subsets = _similarity_seeded_subsets(qi_rows, pool, 5, rng, cap=12)
+        subsets = similarity_seeded_subsets(qi_rows, pool, 5, rng, cap=12)
         assert subsets
         for subset in subsets:
             assert all(type(t) is int for t in subset)
 
     def test_mixed_path_enumeration_uniform_types_and_unique(self):
         """A pool hitting the sampled path dedups against itself and yields
-        built-in ints on both backends."""
+        built-in ints, from the engine and from the reference alike."""
         relation = make_census(seed=3, n_rows=300)
         sigma = proportion_constraints(relation, 1, k=5, seed=3)[0]
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
-                found = enumerate_clusterings(
-                    relation,
-                    sigma,
-                    5,
-                    max_candidates=16,
-                    rng=np.random.default_rng(3),
-                )
+
+        def enumerate_once():
+            return enumerate_clusterings(
+                relation, sigma, 5, max_candidates=16, rng=np.random.default_rng(3)
+            )
+
+        with reference_enumeration():
+            reference = enumerate_once()
+        for found in (reference, enumerate_once()):
             assert found
             keys = [tuple(tuple(sorted(c)) for c in s) for s in found]
             assert len(keys) == len(set(keys))
@@ -81,7 +79,7 @@ class TestSampledPathIntCoercion:
                     assert all(type(t) is int for t in cluster)
 
 
-# -- backend equivalence (hypothesis) ------------------------------------------
+# -- engine vs. reference (hypothesis) -----------------------------------------
 
 
 SCHEMA = Schema.from_names(qi=["A", "B", "C"], sensitive=["S"])
@@ -132,11 +130,10 @@ class TestBackendEquivalence:
         """
         rng_vec = np.random.default_rng(seed)
         rng_ref = np.random.default_rng(seed)
-        with use_kernel_backend("vectorized"):
-            vec = enumerate_clusterings(
-                relation, sigma, k, max_candidates=mc, rng=rng_vec
-            )
-        with use_kernel_backend("reference"):
+        vec = enumerate_clusterings(
+            relation, sigma, k, max_candidates=mc, rng=rng_vec
+        )
+        with reference_enumeration():
             ref = enumerate_clusterings(
                 relation, sigma, k, max_candidates=mc, rng=rng_ref
             )
@@ -152,11 +149,10 @@ class TestBackendEquivalence:
             for mc in (8, 64):
                 rng_vec = np.random.default_rng(11)
                 rng_ref = np.random.default_rng(11)
-                with use_kernel_backend("vectorized"):
-                    vec = enumerate_clusterings(
-                        relation, sigma, 5, max_candidates=mc, rng=rng_vec
-                    )
-                with use_kernel_backend("reference"):
+                vec = enumerate_clusterings(
+                    relation, sigma, 5, max_candidates=mc, rng=rng_vec
+                )
+                with reference_enumeration():
                     ref = enumerate_clusterings(
                         relation, sigma, 5, max_candidates=mc, rng=rng_ref
                     )
@@ -167,17 +163,6 @@ class TestBackendEquivalence:
 
 
 # -- enumeration memo ----------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def _vectorized_backend_for_memo_tests(request):
-    """Memo behaviour only exists on the vectorized backend; pin it so the
-    suite passes identically under REPRO_KERNEL_BACKEND=reference."""
-    if request.cls in (TestEnumerationMemo, TestStreamingMemoReuse):
-        with use_kernel_backend("vectorized"):
-            yield
-    else:
-        yield
 
 
 class TestEnumerationMemo:

@@ -4,14 +4,9 @@ import pytest
 
 from repro.core.clusterings import preserved_count
 from repro.core.constraints import DiversityConstraint
-from repro.core.index import (
-    RelationIndex,
-    get_index,
-    kernel_backend,
-    set_kernel_backend,
-    use_kernel_backend,
-)
+from repro.core.index import RelationIndex, get_index
 from repro.data.relation import Relation, Schema
+from tests.oracle import preserved_count_reference
 
 SCHEMA = Schema.from_names(qi=["GEN", "ETH"], sensitive=["DIS"])
 
@@ -28,48 +23,6 @@ ROWS = [
 @pytest.fixture
 def relation():
     return Relation(SCHEMA, ROWS)
-
-
-class TestBackendFlag:
-    def test_default_follows_environment(self, monkeypatch):
-        from repro.core import index as index_mod
-
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert index_mod._initial_backend() == "vectorized"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        assert index_mod._initial_backend() == "reference"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
-        with pytest.warns(RuntimeWarning, match="unknown REPRO_KERNEL_BACKEND"):
-            assert index_mod._initial_backend() == "vectorized"
-
-    def test_context_manager_restores(self):
-        before = kernel_backend()
-        with use_kernel_backend("reference"):
-            assert kernel_backend() == "reference"
-        assert kernel_backend() == before
-
-    def test_restores_on_error(self):
-        before = kernel_backend()
-        with pytest.raises(RuntimeError):
-            with use_kernel_backend("reference"):
-                raise RuntimeError("boom")
-        assert kernel_backend() == before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_kernel_backend("turbo")
-
-    def test_rejected_backend_leaves_state_unchanged(self):
-        """Regression: a rejected name must not clobber the active backend
-        (only the env-var path warns and falls back; the API raises)."""
-        before = kernel_backend()
-        with pytest.raises(ValueError):
-            set_kernel_backend("turbo")
-        assert kernel_backend() == before
-        with pytest.raises(ValueError):
-            with use_kernel_backend("turbo"):
-                raise AssertionError("unreachable: body must not run")
-        assert kernel_backend() == before
 
 
 class TestIndexConstruction:
@@ -173,10 +126,11 @@ class TestKernels:
         assert index.clustering_cost(clustering) == expected
 
     def test_dispatcher_uses_backend(self, relation):
+        """The public helper runs the index kernel and agrees with the
+        pure-Python oracle."""
         sigma = DiversityConstraint("ETH", "Asian", 1, 3)
         clustering = (frozenset({0, 1}),)
-        with use_kernel_backend("reference"):
-            ref = preserved_count(relation, clustering, sigma)
+        ref = preserved_count_reference(relation, clustering, sigma)
         assert preserved_count(relation, clustering, sigma) == ref == 2
 
     def test_cache_stats_count_hits_and_misses(self, relation):

@@ -12,7 +12,8 @@ Covers the four contracts the layer promises:
   to < 5% over an uninstrumented baseline.
 * **Behavior neutrality** — DIVA output (published relation, clustering,
   search stats, RNG consumption) is identical with sinks enabled vs
-  disabled, on both kernel backends (hypothesis property test).
+  disabled, on the production kernels and on the pure-Python oracle
+  (hypothesis property test).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -29,13 +31,15 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs import tracectx
+from repro.core import diva as diva_module
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.diva import Diva
-from repro.core.index import RelationIndex, use_kernel_backend
+from repro.core.index import RelationIndex
 from repro.core.parallel import component_coloring
 from repro.core.strategies import make_strategy
 from repro.data.datasets import make_census
 from repro.data.relation import Relation, Schema
+from tests.oracle import ReferenceColoringSearch
 
 pytestmark = pytest.mark.obs
 
@@ -563,7 +567,19 @@ def _run_diva(relation, sigma, with_sink):
     }
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@contextmanager
+def _kernel_path(name):
+    """Run DIVA on the production kernels (``vectorized``) or with its
+    coloring search swapped for the pure-Python oracle (``reference``)."""
+    if name == "vectorized":
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diva_module, "ColoringSearch", ReferenceColoringSearch)
+        yield
+
+
+@pytest.mark.parametrize("kernel_path", ["vectorized", "reference"])
 @settings(max_examples=12, deadline=None)
 @given(
     data=st.lists(rows, min_size=8, max_size=16),
@@ -571,10 +587,10 @@ def _run_diva(relation, sigma, with_sink):
         st.sampled_from(sigma_pool), min_size=1, max_size=2, unique=True
     ),
 )
-def test_sinks_do_not_change_behavior(backend, data, sigma):
+def test_sinks_do_not_change_behavior(kernel_path, data, sigma):
     relation = Relation(SCHEMA, data)
     constraints = ConstraintSet(sigma)
-    with use_kernel_backend(backend):
+    with _kernel_path(kernel_path):
         disabled = _run_diva(relation, constraints, with_sink=False)
         enabled = _run_diva(relation, constraints, with_sink=True)
     assert enabled == disabled

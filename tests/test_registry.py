@@ -77,11 +77,6 @@ class TestRunRegistry:
         assert registry.latest(label="missing") is None
         assert [r["label"] for r in registry.runs(label="b")] == ["b"]
 
-    def test_backend_env_stamped_into_config(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "vectorized")
-        record = obs.new_record(kind="test", label="x")
-        assert record["config"]["backend"] == "vectorized"
-
 
 class TestCompareRuns:
     def test_detects_10x_span_regression(self):

@@ -5,8 +5,8 @@ search's per-candidate dict bookkeeping with delta-updated counter arrays
 and a content-addressed contribution memo — but it is an *implementation*
 of the reference semantics, not a variant of them.  These tests pin the
 contract with hypothesis: for every (R, Σ, k, strategy, budget) drawn,
-the vectorized engine and the pure-Python reference path must agree to
-the byte on
+the production search and the pure-Python ``ReferenceColoringSearch`` of
+``tests/oracle.py`` must agree to the byte on
 
 * the solve outcome — success flag, assignment, clustering, satisfied,
 * the full ``SearchStats`` dict (node expansions, candidates tried,
@@ -28,18 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coloring import (
-    ColoringSearch,
-    SearchBudgetExceeded,
-    diverse_clustering,
-)
+from repro.core.coloring import ColoringSearch, SearchBudgetExceeded
 from repro.core.constraints import ConstraintSet, DiversityConstraint
-from repro.core.index import use_kernel_backend
 from repro.core.searchstate import (
     ContributionMemo,
     get_contribution_memo,
 )
 from repro.data.relation import Relation, Schema
+from tests.oracle import ReferenceColoringSearch
 
 pytestmark = pytest.mark.solver
 
@@ -82,7 +78,9 @@ def constraint_sets(draw, min_size=1, max_size=3):
 strategies_axis = st.sampled_from(["maxfanout", "minchoice", "basic"])
 
 
-def _solve_outcome(relation, constraints, k, strategy, max_steps):
+def _solve_outcome(
+    relation, constraints, k, strategy, max_steps, search_cls=ColoringSearch
+):
     """One full solve reduced to a comparable value: every observable byte.
 
     RNG state is read *after* the solve so two runs agree only when the
@@ -90,14 +88,14 @@ def _solve_outcome(relation, constraints, k, strategy, max_steps):
     """
     rng = np.random.default_rng(7)
     try:
-        result = diverse_clustering(
+        result = search_cls(
             relation,
             constraints,
             k,
             strategy=strategy,
             max_steps=max_steps,
             rng=rng,
-        )
+        ).run()
     except SearchBudgetExceeded as exc:
         return {
             "outcome": "budget",
@@ -117,7 +115,7 @@ def _solve_outcome(relation, constraints, k, strategy, max_steps):
 
 
 class TestBackendByteIdentity:
-    """reference and vectorized engines agree on every observable byte."""
+    """Production and the reference oracle agree on every observable byte."""
 
     @given(
         relations(),
@@ -127,10 +125,10 @@ class TestBackendByteIdentity:
     )
     @settings(max_examples=50, deadline=None)
     def test_unbudgeted_solves_identical(self, relation, sigma_set, k, strategy):
-        with use_kernel_backend("reference"):
-            ref = _solve_outcome(relation, sigma_set, k, strategy, None)
-        with use_kernel_backend("vectorized"):
-            vec = _solve_outcome(relation, sigma_set, k, strategy, None)
+        ref = _solve_outcome(
+            relation, sigma_set, k, strategy, None, ReferenceColoringSearch
+        )
+        vec = _solve_outcome(relation, sigma_set, k, strategy, None)
         assert vec == ref
 
     @given(
@@ -143,12 +141,12 @@ class TestBackendByteIdentity:
         self, relation, sigma_set, max_steps
     ):
         """The ``SearchBudgetExceeded.partial`` payload — live-assignment
-        snapshot and partial stats — is backend-invariant, and so is the
+        snapshot and partial stats — matches the oracle's, and so does the
         *decision* to raise at all."""
-        with use_kernel_backend("reference"):
-            ref = _solve_outcome(relation, sigma_set, 2, "maxfanout", max_steps)
-        with use_kernel_backend("vectorized"):
-            vec = _solve_outcome(relation, sigma_set, 2, "maxfanout", max_steps)
+        ref = _solve_outcome(
+            relation, sigma_set, 2, "maxfanout", max_steps, ReferenceColoringSearch
+        )
+        vec = _solve_outcome(relation, sigma_set, 2, "maxfanout", max_steps)
         assert vec == ref
 
     @given(relations(min_rows=6, max_rows=16), constraint_sets())
@@ -158,14 +156,12 @@ class TestBackendByteIdentity:
         same per-node counts the reference derives per call (the MinChoice
         strategy's steering signal)."""
         counts = {}
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
-                search = ColoringSearch(relation, sigma_set, 2)
-                counts[backend] = [
-                    search.consistent_count(i)
-                    for i in range(len(search.graph))
-                ]
-        assert counts["vectorized"] == counts["reference"]
+        for search_cls in (ReferenceColoringSearch, ColoringSearch):
+            search = search_cls(relation, sigma_set, 2)
+            counts[search_cls] = [
+                search.consistent_count(i) for i in range(len(search.graph))
+            ]
+        assert counts[ColoringSearch] == counts[ReferenceColoringSearch]
 
 
 class TestLiveCounterViews:
@@ -173,17 +169,16 @@ class TestLiveCounterViews:
     bookkeeping through apply/revert cycles."""
 
     def _pair(self, relation, constraints, k=2):
-        with use_kernel_backend("reference"):
-            ref = ColoringSearch(relation, constraints, k)
-        with use_kernel_backend("vectorized"):
-            vec = ColoringSearch(relation, constraints, k)
+        ref = ReferenceColoringSearch(relation, constraints, k)
+        vec = ColoringSearch(relation, constraints, k)
         return ref, vec
 
     def _assert_state_equal(self, ref, vec):
-        assert vec._counts == ref._counts
-        assert vec._uppers == ref._uppers
-        assert vec._cluster_refs == ref._cluster_refs
-        assert vec._covered == ref._covered
+        engine = vec._engine
+        assert engine.counts_view() == ref._counts
+        assert engine.uppers_view() == ref._uppers
+        assert engine.cluster_refs_view() == ref._cluster_refs
+        assert engine.covered_view() == ref._covered
 
     def test_views_track_apply_revert(self, paper_relation, paper_constraints):
         ref, vec = self._pair(paper_relation, paper_constraints)
@@ -193,11 +188,12 @@ class TestLiveCounterViews:
         ref._apply(candidate)
         vec._apply(candidate)
         self._assert_state_equal(ref, vec)
-        assert vec._covered  # the apply actually covered tuples
+        assert vec._engine.covered_view()  # the apply covered tuples
         ref._revert(candidate)
         vec._revert(candidate)
         self._assert_state_equal(ref, vec)
-        assert not vec._covered and not vec._cluster_refs
+        assert not vec._engine.covered_view()
+        assert not vec._engine.cluster_refs_view()
 
     def test_contributions_match_reference(
         self, paper_relation, paper_constraints
@@ -217,14 +213,13 @@ class TestContributionMemo:
     def test_warm_memo_does_not_change_results(
         self, paper_relation, paper_constraints
     ):
-        with use_kernel_backend("vectorized"):
-            get_contribution_memo().clear()
-            cold = _solve_outcome(
-                paper_relation, paper_constraints, 2, "maxfanout", None
-            )
-            warm = _solve_outcome(
-                paper_relation, paper_constraints, 2, "maxfanout", None
-            )
+        get_contribution_memo().clear()
+        cold = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
+        warm = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
         assert warm == cold
 
     def test_content_addressing_across_relation_objects(
@@ -239,16 +234,13 @@ class TestContributionMemo:
             tids=list(paper_relation.tids),
         )
         memo = get_contribution_memo()
-        with use_kernel_backend("vectorized"):
-            memo.clear()
-            first = _solve_outcome(
-                paper_relation, paper_constraints, 2, "maxfanout", None
-            )
-            before = dict(memo.stats())
-            second = _solve_outcome(
-                clone, paper_constraints, 2, "maxfanout", None
-            )
-            after = dict(memo.stats())
+        memo.clear()
+        first = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
+        before = dict(memo.stats())
+        second = _solve_outcome(clone, paper_constraints, 2, "maxfanout", None)
+        after = dict(memo.stats())
         assert second["stats"] == first["stats"]
         assert second["assignment"] == first["assignment"]
         # Every record the clone needed was already memoized by the first

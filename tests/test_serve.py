@@ -21,7 +21,7 @@ from repro.data.loaders import schema_from_dict
 from repro.data.relation import Relation, Schema
 from repro.io import CsvBackend
 from repro.serve import AnonymizationService, Request, Response, ServiceCollector
-from repro.serve.http import _render
+from repro.serve.http import HttpServer, _render
 from repro.serve.service import (
     OPEN_TRACE_CAP,
     SPAN_RETENTION,
@@ -765,3 +765,41 @@ class TestSocketEndToEnd:
             await service.stop()
 
         asyncio.run(_run())
+
+
+class TestMalformedRequests:
+    """Unparseable request heads get a 400 and a closed connection — never
+    a dropped socket with no response."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /ingest HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+            b"POST /ingest HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET http://[bad HTTP/1.1\r\nHost: t\r\n\r\n",
+        ],
+        ids=["non-numeric-length", "negative-length", "bad-target"],
+    )
+    def test_gets_400_and_close(self, raw):
+        async def handler(request: Request) -> Response:
+            raise AssertionError("a malformed request must not reach the handler")
+
+        async def _run():
+            server = HttpServer(handler)
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(raw)
+                await writer.drain()
+                status_line = await asyncio.wait_for(reader.readline(), 5)
+                # read() returns only at EOF: the server closed its end.
+                rest = await asyncio.wait_for(reader.read(), 5)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+            return status_line, rest
+
+        status_line, rest = asyncio.run(_run())
+        assert status_line.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in rest

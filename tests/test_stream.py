@@ -18,7 +18,6 @@ from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.coloring import SearchBudgetExceeded
 from repro.core.diva import run_diva
 from repro.core.errors import UnsatisfiableError
-from repro.core.index import use_kernel_backend
 from repro.data.datasets import make_census, make_running_example
 from repro.data.relation import STAR, Relation, Schema, generalizes
 from repro.metrics.stats import is_k_anonymous
@@ -213,25 +212,6 @@ class TestExtend:
                         if old_value is STAR:
                             assert new_value is STAR
             previous = release.relation
-
-    def test_backend_equivalence(self):
-        relation = make_census(seed=7, n_rows=240)
-        sigma = proportion_constraints(relation, 3, k=3, seed=7)
-        rows = [row for _, row in relation]
-        outputs = []
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
-                engine = StreamingAnonymizer(
-                    relation.schema, sigma, 3, bootstrap=120, seed=0
-                )
-                for start in range(0, len(rows), 40):
-                    engine.ingest(rows[start:start + 40])
-                engine.flush()
-                outputs.append(
-                    (engine.release.relation, [s.mode for s in engine.ledger.stamps])
-                )
-        assert outputs[0][0] == outputs[1][0]
-        assert outputs[0][1] == outputs[1][1]
 
 
 class TestScopedBatch:
