@@ -47,8 +47,11 @@ from .metrics.diversity_check import check_diversity
 from .metrics.stats import is_k_anonymous
 
 
-def load_constraint_file(path: str | Path) -> ConstraintSet:
-    """Parse a constraints file (one ``A[a], lo, hi`` per line)."""
+def parse_constraint_file(path: str | Path) -> ConstraintSet:
+    """Parse a constraints file (one ``A[a], lo, hi`` per line).
+
+    Raises ``ValueError`` naming the first line that does not parse.
+    """
     constraints = []
     with open(path) as f:
         for line_no, raw in enumerate(f, start=1):
@@ -58,10 +61,18 @@ def load_constraint_file(path: str | Path) -> ConstraintSet:
             try:
                 constraints.append(DiversityConstraint.parse(line))
             except Exception as exc:
-                raise SystemExit(
-                    f"{path}:{line_no}: cannot parse constraint: {exc}"
-                )
+                raise ValueError(
+                    f"line {line_no}: cannot parse constraint: {exc}"
+                ) from exc
     return ConstraintSet(constraints)
+
+
+def load_constraint_file(path: str | Path) -> ConstraintSet:
+    """:func:`parse_constraint_file`, exiting with a diagnostic on a bad line."""
+    try:
+        return parse_constraint_file(path)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}")
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
@@ -147,8 +158,42 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_error(message: str) -> int:
+    print(f"repro check: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    relation = open_backend(args.input).load()
+    """Validate a release against k and Σ; exit 1 when it fails.
+
+    The release, the constraints and ``--original`` are all loaded, and
+    every constraint attribute is looked up in their schemas, before
+    anything is checked.  Unreadable input exits 2 with a one-line
+    diagnostic, so exit 1 always means the release fails (k, Σ).
+    """
+    loaded = []
+    for path, load in (
+        (args.input, lambda p: open_backend(p).load()),
+        (args.constraints, parse_constraint_file),
+        (args.original, lambda p: open_backend(p).load()),
+    ):
+        try:
+            loaded.append(load(path) if path else None)
+        except OSError as exc:
+            return _check_error(f"{path}: {exc.strerror or exc}")
+        except ValueError as exc:
+            return _check_error(f"{path}: {exc}")
+    relation, constraints, original = loaded
+    constraints = constraints or ConstraintSet()
+    attrs = {a for sigma in constraints for a in sigma.attrs}
+    for path, rel in ((args.input, relation), (args.original, original)):
+        if rel is None:
+            continue
+        unknown = sorted(attrs - set(rel.schema.names))
+        if unknown:
+            return _check_error(
+                f"{args.constraints}: no attribute {unknown[0]!r} in {path}"
+            )
     ok = True
     if not is_k_anonymous(relation, args.k):
         print(f"FAIL: not {args.k}-anonymous")
@@ -156,7 +201,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print(f"OK: {args.k}-anonymous")
     if args.constraints:
-        constraints = load_constraint_file(args.constraints)
         verdicts = check_diversity(relation, constraints)
         for verdict in verdicts:
             sigma = verdict.constraint
@@ -173,15 +217,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             ok = ok and verdict.satisfied
         violated = sum(1 for v in verdicts if not v.satisfied)
         print(f"constraints violated: {violated} of {len(verdicts)}")
-    if args.original:
-        original = open_backend(args.original).load()
-        problem = KSigmaProblem(
-            original,
-            load_constraint_file(args.constraints)
-            if args.constraints
-            else ConstraintSet(),
-            args.k,
-        )
+    if original is not None:
+        problem = KSigmaProblem(original, constraints, args.k)
         for failure in problem.validate_solution(relation):
             print(f"FAIL: {failure}")
             ok = False

@@ -132,10 +132,10 @@ class ApproxSolver:
         self._covered: set[int] = set()
         self._counts: dict[int, int] = {n.index: 0 for n in self.graph}
         self._contrib_cache: dict[frozenset, tuple[tuple[int, int], ...]] = {}
-        # Contribution records resolve through the same content-addressed
-        # memo the exact search's engine populates — an ``auto``-tier
-        # escalation therefore re-reads the warm-start clusters' records
-        # instead of recomputing them.
+        # Contribution records resolve through the index cache the exact
+        # search's engine fills — an ``auto``-tier escalation on the same
+        # relation re-reads the warm-start clusters' records instead of
+        # recomputing them.
         self._resolver = ContributionResolver(self._index, self.graph)
 
     # -- contributions ---------------------------------------------------------

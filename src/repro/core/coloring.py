@@ -26,8 +26,8 @@ re-suppressing the union.
 The live state is the columnar :class:`~repro.core.searchstate.SearchState`
 engine over the relation's shared :class:`~repro.core.index.RelationIndex`:
 counter arrays, a covered-row refcount vector and an interned cluster
-registry backed by the process-global contribution memo, pinned byte for
-byte to the pure-Python dict state of the test oracle
+registry whose contribution records come from the index cache, pinned byte
+for byte to the pure-Python dict state of the test oracle
 (``ReferenceColoringSearch`` in ``tests/oracle.py``).
 """
 
@@ -199,10 +199,10 @@ class ColoringSearch:
                     target_tids=set(node.target_tids),
                 )
         # The columnar search-state engine owns the live assignment: it
-        # interns every distinct static cluster through the process-global
-        # contribution memo with one memo-writing segment reduction per QI
-        # constraint, and keeps refcounts, covered rows and per-constraint
-        # counts as delta-updated arrays over the relation's shared index.
+        # interns every distinct static cluster with one cache-writing
+        # segment reduction per QI constraint, and keeps refcounts, covered
+        # rows and per-constraint counts as delta-updated arrays over the
+        # relation's shared index.
         self._engine = SearchState(
             get_index(relation), self.graph, k, self._candidates
         )

@@ -80,23 +80,28 @@ class CostModel:
 
     @classmethod
     def load(cls, path: PathLike) -> "CostModel":
-        """Load a calibration file (a missing file is an empty model)."""
+        """Load a calibration file.
+
+        A missing, unreadable or malformed file — invalid JSON, or valid
+        JSON of the wrong shape — is an empty model: a corrupt calibration
+        must never break a run.
+        """
         model = cls(path)
         try:
             with open(path) as f:
                 data = json.load(f)
-        except FileNotFoundError:
-            return model
-        except (OSError, json.JSONDecodeError):
-            return model  # a corrupt calibration must never break a run
-        if data.get("schema_version") != SCHEMA_VERSION:
-            return model
-        for key, entry in data.get("datasets", {}).items():
-            observations = [
-                [int(pool), int(mass), int(ns)]
-                for pool, mass, ns in entry.get("observations", [])
-            ]
-            model._datasets[key] = observations[-MAX_OBSERVATIONS:]
+            if data.get("schema_version") != SCHEMA_VERSION:
+                return model
+            datasets = {
+                key: [
+                    [int(pool), int(mass), int(ns)]
+                    for pool, mass, ns in entry.get("observations", [])
+                ][-MAX_OBSERVATIONS:]
+                for key, entry in data.get("datasets", {}).items()
+            }
+        except (OSError, ValueError, TypeError, AttributeError):
+            return model  # json.JSONDecodeError is a ValueError
+        model._datasets = datasets
         return model
 
     def save(self, path: Optional[PathLike] = None) -> Optional[Path]:

@@ -43,7 +43,6 @@ from .coloring import (
 )
 from .constraints import ConstraintSet, DiversityConstraint
 from .enumeration import get_enum_memo
-from .searchstate import get_contribution_memo
 from .errors import UnsatisfiableError
 from .index import get_index
 from .integrate import IntegrationReport, integrate
@@ -57,18 +56,12 @@ _EFFORT_COUNTERS = (
     (obs.INDEX_CLUSTER_CACHE_MISSES, "cluster_cache_misses"),
     (obs.ENUM_MEMO_HITS, "enum_memo_hits"),
     (obs.ENUM_MEMO_MISSES, "enum_memo_misses"),
-    (obs.SEARCH_MEMO_HITS, "search_memo_hits"),
-    (obs.SEARCH_MEMO_MISSES, "search_memo_misses"),
 )
 
 
 def _effort_totals(relation: Relation) -> dict[str, int]:
-    """Cumulative index-cache, enumeration-memo and contribution-memo tallies."""
-    return (
-        get_index(relation).cache_stats()
-        | get_enum_memo().stats()
-        | get_contribution_memo().stats()
-    )
+    """Cumulative index-cache and enumeration-memo tallies."""
+    return get_index(relation).cache_stats() | get_enum_memo().stats()
 
 
 @dataclass
@@ -237,8 +230,8 @@ class Diva:
         rng = self._fresh_rng()
 
         # Kernel cluster-cache and memo counters are cumulative (the index
-        # and the process-global memos outlive any single run), so report
-        # this run's contribution as deltas.
+        # and the process-global enumeration memo outlive any single run),
+        # so report this run's contribution as deltas.
         effort_before = _effort_totals(relation) if obs.enabled() else None
 
         active = constraints

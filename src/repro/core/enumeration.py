@@ -70,7 +70,7 @@ from typing import Optional
 
 import numpy as np
 
-from .index import RelationIndex
+from .index import RelationIndex, lockstep_k_partition
 
 #: Exhaustively enumerate subsets when the number of combinations per size is
 #: below this; otherwise fall back to similarity-guided + random sampling.
@@ -336,38 +336,6 @@ def _seeded_subsets(
     return subsets
 
 
-def _batched_greedy(
-    view: _PoolView, subsets: np.ndarray, k: int
-) -> list[list[np.ndarray]]:
-    """Greedy k-partition of every row of ``subsets`` (B × s), in lockstep.
-
-    Equal-size subsets run the same number of rounds, so each round is one
-    batched gather + per-row argsort of the composite (distance, rank) key
-    — the exact order the per-subset reference kernel produces with its
-    ``np.lexsort((remaining, dist))``.
-    """
-    rounds: list[np.ndarray] = []
-    rem = subsets
-    dist_matrix = view.dist_matrix() if view.dense else None
-    n = np.int64(view.n)
-    batch_rows = np.arange(subsets.shape[0], dtype=np.intp)[:, None]
-    while rem.shape[1] >= 2 * k:
-        seeds = rem[:, 0]
-        if dist_matrix is not None:
-            dist = dist_matrix[seeds[:, None], rem]
-        else:
-            dist = (view.qi[rem] != view.qi[seeds][:, None, :]).sum(
-                axis=2, dtype=np.int64
-            )
-        order = np.argsort(dist * n + rem, axis=1)
-        rem = rem[batch_rows, order]
-        rounds.append(rem[:, :k])
-        rem = rem[:, k:]
-    return [
-        [r[b] for r in rounds] + [rem[b]] for b in range(subsets.shape[0])
-    ]
-
-
 def _generate(
     view: _PoolView,
     k: int,
@@ -422,7 +390,8 @@ def _generate(
             take = min(len(subsets), budget - len(cands))
             if take > 0:
                 arr = np.asarray(subsets[:take], dtype=np.int64)
-                for blocks in _batched_greedy(view, arr, k):
+                dist = view.dist_matrix() if view.dense else None
+                for blocks in lockstep_k_partition(view.qi, arr, k, dist):
                     cands.append((size, blocks))
     return cands, generated
 

@@ -595,3 +595,39 @@ class RelationIndex:
             remaining, rows = remaining[k:], rows[k:]
         blocks.append(frozenset(remaining.tolist()))
         return tuple(blocks)
+
+
+def lockstep_k_partition(
+    qi: np.ndarray,
+    subsets: np.ndarray,
+    k: int,
+    dist: np.ndarray | None = None,
+) -> list[list[np.ndarray]]:
+    """:meth:`RelationIndex.greedy_k_partition` of every row of ``subsets``
+    (B × s ranks into the rows of the QI code block ``qi``), in lockstep.
+
+    Per round: one batched seed-distance gather (read from the pairwise
+    distance matrix ``dist`` when the caller has one), one per-row argsort
+    of the composite ``dist·n + rank`` key (ranks are unique and < n, so
+    this is exactly the per-subset ``np.lexsort((remaining, dist))``), one
+    block slice.  Equal-size subsets run the same number of rounds.
+    Candidate enumeration and the search-state engine's dynamic candidates
+    both partition through it.
+    """
+    rounds: list[np.ndarray] = []
+    rem = subsets
+    n = np.int64(qi.shape[0])
+    batch = np.arange(rem.shape[0], dtype=np.intp)[:, None]
+    while rem.shape[1] >= 2 * k:
+        seeds = rem[:, 0]
+        if dist is None:
+            d = (qi[rem] != qi[seeds][:, None, :]).sum(axis=2, dtype=np.int64)
+        else:
+            d = dist[seeds[:, None], rem]
+        order = np.argsort(d * n + rem, axis=1)
+        rem = rem[batch, order]
+        rounds.append(rem[:, :k])
+        rem = rem[:, k:]
+    return [
+        [r[b] for r in rounds] + [rem[b]] for b in range(subsets.shape[0])
+    ]

@@ -25,34 +25,26 @@ every consistency check:
   contributions scored through :meth:`RelationIndex.preserved_count_batch`
   — one segment reduction per constraint per expansion.
 
-Contribution memo
------------------
-:class:`ContributionMemo` is a process-global, content-addressed LRU shared
-in spirit with :class:`~repro.core.enumeration.EnumerationMemo`: records
-are keyed on the *values* of the constraint set (per-node attrs, target
-values, QI flags) and of the cluster's rows over the constraint attrs — not
-on tids or code matrices — so identical content shares work across
-searches, across the parallel scheduler's worker-side components, across
-:func:`~repro.core.approx.escalate_from_budget` warm starts (the
-approximation tier resolves contributions through the same memo the exact
-tier populated) and across the fresh relations the streaming engine builds
-per scoped recompute.  Contribution records are pure values (no RNG
-involvement), so memo temperature is invisible to search results by
-construction; only the hit/miss tallies differ, which the observability
-layer therefore reports as deltas around each DIVA run, never per search.
+Contribution records
+--------------------
+The only contribution cache is the relation's own
+:class:`~repro.core.index.RelationIndex`: :class:`ContributionResolver`
+reads and fills its per-constraint cluster cache, so a warm re-run or an
+approximation-tier escalation on the same relation re-reads every record
+the first search resolved.  Records are pure values, so cache temperature
+never changes a search result.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .graph import ConstraintGraph
-from .index import RelationIndex
+from .index import RelationIndex, lockstep_k_partition
 from .suppress import normalize_clustering
 
 Clustering = tuple  # tuple[frozenset, ...]
@@ -60,197 +52,47 @@ Clustering = tuple  # tuple[frozenset, ...]
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
-# -- contribution memo ---------------------------------------------------------
-
-
-def _robust_sort_key(row: tuple) -> tuple:
-    """Total order over value tuples even when a column mixes types
-    (suppressed relations interleave ``STAR`` strings with numerics)."""
-    return tuple((type(v).__name__, repr(v)) for v in row)
-
-
-class ContributionMemo:
-    """Process-global, content-addressed LRU of contribution records.
-
-    One entry is the dense per-QI-node surviving-count delta vector of one
-    cluster under one constraint set.  Thread-safe: worker-side searches of
-    the parallel thread executor share it.  Like the enumeration memo,
-    generation happens outside the lock; a racing duplicate store is
-    idempotent.
-    """
-
-    #: Entries retained (LRU).  Records are a handful of ints each, so the
-    #: cap is sized for many searches' distinct clusters, not memory.
-    CAPACITY = 32_768
-
-    def __init__(self, capacity: int = CAPACITY):
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-
-    def stats(self) -> dict[str, int]:
-        """Cumulative hit/miss tallies (read as deltas, like cache_stats)."""
-        return {
-            "search_memo_hits": self._hits,
-            "search_memo_misses": self._misses,
-        }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def lookup(self, key: tuple) -> Optional[tuple]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-
-    def store(self, key: tuple, deltas: tuple) -> None:
-        with self._lock:
-            self._entries[key] = deltas
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-
-_MEMO = ContributionMemo()
-
-
-def get_contribution_memo() -> ContributionMemo:
-    """The process-global contribution memo."""
-    return _MEMO
+def get_contribution_memo() -> SimpleNamespace:
+    # Kept only for e2ebench/workloads.py, which clears it before cold runs.
+    # A fresh relation is always cold: its records live on its own index.
+    return SimpleNamespace(clear=lambda: None)
 
 
 # -- contribution resolution ---------------------------------------------------
 
 
 class ContributionResolver:
-    """Memo-aware batched contribution records for one (index, Σ-graph).
+    """Batched contribution records for one (index, Σ-graph).
 
-    Shared by the exact search's engine and the approximation solver so a
-    budget-escalated warm start re-reads the records the exact tier already
+    Shared by the exact search's engine and the approximation solver;
+    both read through the index's per-constraint cache, so a
+    budget-escalated warm start re-reads the records the exact tier
     resolved.  ``records`` returns, per cluster, its
     ``(node index, surviving-count delta)`` pairs — QI-touching nodes in
     graph order, zero deltas dropped.
     """
 
-    __slots__ = (
-        "index",
-        "qi",
-        "qi_nodes",
-        "node_indices",
-        "_set_sig",
-        "_positions",
-        "_books",
-    )
+    __slots__ = ("index", "qi", "qi_nodes", "node_indices")
 
     def __init__(self, index: RelationIndex, graph: ConstraintGraph):
-        schema = index.schema
         self.index = index
-        self.qi = set(schema.qi_names)
+        self.qi = set(index.schema.qi_names)
         self.qi_nodes = [
             n for n in graph if any(a in self.qi for a in n.constraint.attrs)
         ]
         self.node_indices = [n.index for n in self.qi_nodes]
-        # Constraint-set signature: per QI node, the constraint's content
-        # (attrs, target values, QI flags) in node order.  Values, not
-        # codes — stable across the fresh relations streaming rebuilds.
-        self._set_sig = tuple(
-            (
-                n.constraint.attrs,
-                n.constraint.values,
-                tuple(a in self.qi for a in n.constraint.attrs),
-            )
-            for n in self.qi_nodes
-        )
-        positions = sorted(
-            {
-                schema.position(a)
-                for n in self.qi_nodes
-                for a in n.constraint.attrs
-            }
-        )
-        self._positions = np.asarray(positions, dtype=np.intp)
-        books: list[np.ndarray] = []
-        for p in positions:
-            book = self.index.codebooks[p]
-            inverse: list = [None] * len(book)
-            for value, code in book.items():
-                inverse[code] = value
-            books.append(np.asarray(inverse, dtype=object))
-        self._books = books
-
-    def signatures(self, clusters: Sequence[frozenset]) -> list[tuple]:
-        """Content identity of each cluster: the sorted multiset of its
-        rows' values over the union of constraint attributes.
-
-        One gather of the concatenated code block, one object fancy-index
-        per column to translate codes back to values, then a per-cluster
-        canonicalizing sort — no per-cell Python work.
-        """
-        index = self.index
-        pos = self._positions
-        lengths = [len(c) for c in clusters]
-        if not sum(lengths):
-            return [() for _ in clusters]
-        concat = index._concat_rows(clusters, sum(lengths))
-        block = index.codes[concat[:, None], pos[None, :]]
-        columns = [
-            book[block[:, j]].tolist() for j, book in enumerate(self._books)
-        ]
-        value_rows = list(zip(*columns))
-        sigs: list[tuple] = []
-        offset = 0
-        for length in lengths:
-            rows = value_rows[offset : offset + length]
-            offset += length
-            try:
-                rows.sort()
-            except TypeError:  # mixed-type column (e.g. STAR among ints)
-                rows.sort(key=_robust_sort_key)
-            sigs.append(tuple(rows))
-        return sigs
 
     def record_vectors(self, clusters: Sequence[frozenset]) -> list[tuple]:
-        """Dense per-QI-node delta vectors, one per cluster, memo-first.
-
-        Misses are evaluated through one
-        :meth:`RelationIndex.preserved_count_batch` segment reduction per
-        constraint and written back to the memo.
-        """
+        """Dense per-QI-node delta vectors, one per cluster: one
+        :meth:`RelationIndex.preserved_count_batch` per QI node, which
+        writes every miss back to the index cache."""
         if not self.qi_nodes:
             return [() for _ in clusters]
-        memo = get_contribution_memo()
-        sigs = self.signatures(clusters)
-        out: list[Optional[tuple]] = [None] * len(clusters)
-        missing: list[int] = []
-        for i, sig in enumerate(sigs):
-            rec = memo.lookup((self._set_sig, sig))
-            if rec is None:
-                missing.append(i)
-            else:
-                out[i] = rec
-        if missing:
-            miss_clusters = [clusters[i] for i in missing]
-            per_node = [
-                self.index.preserved_count_batch(miss_clusters, n.constraint)
-                for n in self.qi_nodes
-            ]
-            for pos_in_batch, i in enumerate(missing):
-                rec = tuple(int(counts[pos_in_batch]) for counts in per_node)
-                memo.store((self._set_sig, sigs[i]), rec)
-                out[i] = rec
-        return out  # type: ignore[return-value]
+        per_node = [
+            self.index.preserved_count_batch(clusters, n.constraint).tolist()
+            for n in self.qi_nodes
+        ]
+        return list(zip(*per_node))
 
     def records(
         self, clusters: Sequence[frozenset]
@@ -262,37 +104,6 @@ class ContributionResolver:
             tuple((idxs[j], d) for j, d in enumerate(vec) if d)
             for vec in self.record_vectors(clusters)
         ]
-
-
-# -- lockstep partition kernel -------------------------------------------------
-
-
-def _lockstep_partition(
-    qi: np.ndarray, subsets: np.ndarray, k: int
-) -> list[list[np.ndarray]]:
-    """Greedy k-partition of every row of ``subsets`` (B × s ranks into
-    ``qi``'s row space), in lockstep — the search-state twin of
-    ``enumeration._batched_greedy``.
-
-    Per round: one batched seed-distance gather, one per-row argsort of the
-    composite ``dist·n + rank`` key (ranks are unique and < n, so this is
-    exactly the per-subset reference ``np.lexsort((remaining, dist))``),
-    one block slice.  Equal-size subsets run the same number of rounds.
-    """
-    rounds: list[np.ndarray] = []
-    rem = subsets
-    n = np.int64(qi.shape[0])
-    batch = np.arange(rem.shape[0], dtype=np.intp)[:, None]
-    while rem.shape[1] >= 2 * k:
-        seeds = rem[:, 0]
-        dist = (qi[rem] != qi[seeds][:, None, :]).sum(axis=2, dtype=np.int64)
-        order = np.argsort(dist * n + rem, axis=1)
-        rem = rem[batch, order]
-        rounds.append(rem[:, :k])
-        rem = rem[:, k:]
-    return [
-        [r[b] for r in rounds] + [rem[b]] for b in range(subsets.shape[0])
-    ]
 
 
 # -- the engine ----------------------------------------------------------------
@@ -338,9 +149,9 @@ class SearchState:
         self._refs: list[int] = []
         # Per-node sorted target pools (tids, rows), built on first use.
         self._pools: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Effort tallies (deterministic: independent of memo temperature —
+        # Effort tallies (deterministic: independent of cache temperature —
         # ``batch_scored`` counts clusters *resolved* through the batched
-        # path, whether the memo or the kernel supplied the record).
+        # path, whether the index cache or the kernel supplied the record).
         self.delta_applies = 0
         self.delta_reverts = 0
         self.batch_scored = 0
@@ -522,7 +333,7 @@ class SearchState:
             if key not in unique:
                 unique[key] = len(unique)
         stacked = np.asarray(list(unique), dtype=np.int64)
-        parts = _lockstep_partition(qi, stacked, self.k)
+        parts = lockstep_k_partition(qi, stacked, self.k)
         pool_list = pool.tolist()
         out: list[Clustering] = []
         seen: set[tuple] = set()

@@ -69,6 +69,7 @@ from .names import (  # noqa: F401
     SEARCH_BATCH_SCORED,
     SEARCH_DELTA_APPLIES,
     SEARCH_DELTA_REVERTS,
+    # Retired and never emitted; exported only for e2ebench/workloads.py.
     SEARCH_MEMO_HITS,
     SEARCH_MEMO_MISSES,
     SPAN_ANONYMIZE,

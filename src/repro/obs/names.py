@@ -46,16 +46,16 @@ ENUM_MEMO_MISSES = "enum.memo_misses"
 #: ``delta_applies``/``delta_reverts`` count first-ref /
 #: last-ref cluster transitions materialized as counter-array delta adds;
 #: ``batch_scored`` counts clusters whose contribution records were
-#: resolved through the batched memo-aware path (memo hit or kernel miss
+#: resolved through the batched path (index-cache hit or kernel miss
 #: alike, so the tally is deterministic per search trajectory).  All three
 #: aggregate per search and flush with the coloring.* effort counters.
 SEARCH_DELTA_APPLIES = "search.delta_applies"
 SEARCH_DELTA_REVERTS = "search.delta_reverts"
 SEARCH_BATCH_SCORED = "search.batch_scored"
 
-#: Contribution memo (content-addressed, process-global — see
-#: :mod:`repro.core.searchstate`): cumulative tallies, emitted as deltas
-#: around each DIVA run, mirroring the ENUM_MEMO_* pattern.
+#: Retired contribution-memo tallies: nothing emits them (contribution
+#: records are cached on the index, under INDEX_CLUSTER_CACHE_*).  Kept
+#: only because ``e2ebench/workloads.py`` still reads them.
 SEARCH_MEMO_HITS = "search.memo_hits"
 SEARCH_MEMO_MISSES = "search.memo_misses"
 
@@ -178,8 +178,6 @@ ALL_COUNTERS = (
     SEARCH_DELTA_APPLIES,
     SEARCH_DELTA_REVERTS,
     SEARCH_BATCH_SCORED,
-    SEARCH_MEMO_HITS,
-    SEARCH_MEMO_MISSES,
     SUPPRESS_CELLS_STARRED,
     DIVA_CONSTRAINTS_DROPPED,
     KMEMBER_CLUSTERS,

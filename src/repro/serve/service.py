@@ -602,6 +602,10 @@ class AnonymizationService:
                 coerced.append(tuple(item))
             else:
                 raise HttpError(400, f"rows[{i}] must be a list or object")
+            if any(isinstance(cell, (list, dict)) for cell in coerced[-1]):
+                # Cells must be scalars: an unhashable cell would wedge
+                # the engine's buffer, a nested one publish as a repr.
+                raise HttpError(400, f"rows[{i}] has an array or object cell")
         return coerced
 
     async def _ingest(self, request: Request) -> Response:

@@ -41,8 +41,6 @@ from ..obs.hist import Histogram
 from ..core.coloring import SearchBudgetExceeded
 from ..core.constraints import ConstraintSet
 from ..core.diva import Diva
-from ..core.enumeration import get_enum_memo
-from ..core.searchstate import get_contribution_memo
 from ..core.errors import UnsatisfiableError
 from ..data.relation import Relation, Schema
 from .admission import AdmissionState, residual_constraints
@@ -64,17 +62,6 @@ class StreamStats:
     #: for one pooled scoped drain later.
     scoped_deferred: int = 0
     releases: int = 0
-    #: Enumeration-memo traffic attributable to this engine's publishes
-    #: (deltas of the process-global memo captured around each publish).
-    #: Repeated scoped recomputes over recurring QI pools show up here as
-    #: hits.
-    enum_memo_hits: int = 0
-    enum_memo_misses: int = 0
-    #: Same pattern for the search-state contribution memo: scoped and full
-    #: recomputes rebuild the relation each publish but cluster content
-    #: recurs, so contribution records resolve as hits here.
-    search_memo_hits: int = 0
-    search_memo_misses: int = 0
     #: Wall clock of every publish attempt (the ``stream.publish`` region),
     #: as a mergeable log-scale histogram — the per-batch latency profile a
     #: long-running stream reports without keeping per-batch samples.
@@ -234,19 +221,15 @@ class StreamingAnonymizer:
             return None
         if self.ledger.current is None:
             if force or len(self._pending) >= self._bootstrap:
-                memo_before = self._memo_stats()
                 with obs.span(obs.SPAN_STREAM_PUBLISH) as sp:
                     release = self._publish_full("bootstrap", force)
                 self.stats.publish_latency.record(sp.duration)
-                self._record_memo_delta(memo_before)
                 self._stamp_trace(release, sp)
                 return release
             return None
-        memo_before = self._memo_stats()
         with obs.span(obs.SPAN_STREAM_PUBLISH) as sp:
             release = self._publish_incremental(force)
         self.stats.publish_latency.record(sp.duration)
-        self._record_memo_delta(memo_before)
         self._stamp_trace(release, sp)
         return release
 
@@ -421,14 +404,6 @@ class StreamingAnonymizer:
         return release
 
     # -- helpers ---------------------------------------------------------------
-
-    def _memo_stats(self) -> dict[str, int]:
-        return get_enum_memo().stats() | get_contribution_memo().stats()
-
-    def _record_memo_delta(self, before: dict[str, int]) -> None:
-        # Memo tally keys double as the StreamStats field names.
-        for key, after in self._memo_stats().items():
-            setattr(self.stats, key, getattr(self.stats, key) + after - before[key])
 
     def _after_publish(
         self, release: Release, residuals: list[tuple[int, tuple]]

@@ -199,6 +199,32 @@ class TestCheck:
         assert "shortfall=1" in printed
         assert "constraints violated: 1 of 1" in printed
 
+    @pytest.mark.parametrize(
+        "release_exists, sigma_text",
+        [
+            (False, "ETH[Asian], 2, 5\n"),
+            (True, None),
+            (True, "NOPE[x], 1, 2\n"),
+            (True, "not a constraint\n"),
+        ],
+        ids=["missing-release", "missing-sigma", "unknown-attr", "bad-line"],
+    )
+    def test_unreadable_input_exits_2(
+        self, csv_relation, tmp_path, capsys, release_exists, sigma_text
+    ):
+        """Bad input is exit 2 with a diagnostic and no verdict lines —
+        never exit 1, which means the release fails (k, Σ)."""
+        release = csv_relation if release_exists else tmp_path / "nope.csv"
+        sigma = tmp_path / "sigma.txt"
+        if sigma_text is not None:
+            sigma.write_text(sigma_text)
+        rc = main(["check", str(release), "-k", "2", "-c", str(sigma)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        bad = sigma if release_exists else release
+        assert captured.err.startswith(f"repro check: {bad}: ")
+        assert captured.out == ""
+
 
 class TestStream:
     def test_end_to_end_writes_releases(

@@ -428,8 +428,6 @@ class TestTaxonomy:
             "search.delta_applies",
             "search.delta_reverts",
             "search.batch_scored",
-            "search.memo_hits",
-            "search.memo_misses",
             "suppress.cells_starred",
             "diva.constraints_dropped",
             "kmember.clusters",

@@ -520,11 +520,24 @@ class TestAdaptiveCostModel:
             model.observe("k", (1.0, 1.0), 100)
         assert model.weights("k") is None
 
-    def test_corrupt_calibration_file_is_ignored(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            '{"schema_version": 1, "datasets": [1]}',
+            '{"schema_version": 1, "datasets": '
+            '{"x": {"observations": [[1, 2, 3], [1, 2]]}}}',
+            '{"schema_version": 1, "datasets": '
+            '{"x": {"observations": [[1, 2, 3], ["a", 2, 3]]}}}',
+        ],
+        ids=["not-json", "array", "datasets-array", "short-row", "text-cell"],
+    )
+    def test_corrupt_calibration_file_is_ignored(self, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         model = costmodel.CostModel.load(path)
-        assert model.observation_count("anything") == 0
+        assert model.observation_count("x") == 0
 
     def test_pooled_runs_feed_observations(self, paper_relation):
         model = costmodel.CostModel()

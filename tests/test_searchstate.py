@@ -2,7 +2,7 @@
 
 The engine (:mod:`repro.core.searchstate`) replaces the exact coloring
 search's per-candidate dict bookkeeping with delta-updated counter arrays
-and a content-addressed contribution memo — but it is an *implementation*
+over the relation index's contribution cache — but it is an *implementation*
 of the reference semantics, not a variant of them.  These tests pin the
 contract with hypothesis: for every (R, Σ, k, strategy, budget) drawn,
 the production search and the pure-Python ``ReferenceColoringSearch`` of
@@ -17,8 +17,8 @@ the production search and the pure-Python ``ReferenceColoringSearch`` of
   the live-assignment snapshot and the partial stats.
 
 Plus direct unit coverage of the engine internals the solve-level sweep
-cannot see: live counter views, memo content-addressing across distinct
-relation objects, warm/cold memo identity, and LRU eviction.
+cannot see: live counter views, warm/cold identity, rebuilt relation
+objects, and warm re-runs reading the index cache back.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.coloring import ColoringSearch, SearchBudgetExceeded
 from repro.core.constraints import ConstraintSet, DiversityConstraint
-from repro.core.searchstate import (
-    ContributionMemo,
-    get_contribution_memo,
-)
+from repro.core.index import get_index
 from repro.data.relation import Relation, Schema
 from tests.oracle import ReferenceColoringSearch
 
@@ -207,13 +204,13 @@ class TestLiveCounterViews:
                     )
 
 
-class TestContributionMemo:
-    """Content addressing, warm/cold identity, and LRU mechanics."""
+class TestIndexContributionCache:
+    """Contribution records live in the relation index's per-constraint
+    cache: warm and cold solves agree, and a warm re-run reads it back."""
 
     def test_warm_memo_does_not_change_results(
         self, paper_relation, paper_constraints
     ):
-        get_contribution_memo().clear()
         cold = _solve_outcome(
             paper_relation, paper_constraints, 2, "maxfanout", None
         )
@@ -226,39 +223,33 @@ class TestContributionMemo:
         self, paper_relation, paper_constraints
     ):
         """A rebuilt Relation over the same rows (what every streaming
-        publish does) re-reads the first relation's records: keys hash
-        cluster *values*, not tids or object identity."""
+        publish does) solves cold on its own index to the same result."""
         clone = Relation(
             paper_relation.schema,
             [row for _, row in paper_relation],
             tids=list(paper_relation.tids),
         )
-        memo = get_contribution_memo()
-        memo.clear()
         first = _solve_outcome(
             paper_relation, paper_constraints, 2, "maxfanout", None
         )
-        before = dict(memo.stats())
         second = _solve_outcome(clone, paper_constraints, 2, "maxfanout", None)
-        after = dict(memo.stats())
         assert second["stats"] == first["stats"]
         assert second["assignment"] == first["assignment"]
-        # Every record the clone needed was already memoized by the first
-        # solve — hits advanced, not a single fresh miss.
-        assert after["search_memo_hits"] > before["search_memo_hits"]
-        assert after["search_memo_misses"] == before["search_memo_misses"]
 
-    def test_lru_evicts_oldest_and_clear_empties(self):
-        memo = ContributionMemo(capacity=2)
-        memo.store(("s", ("a",)), (1,))
-        memo.store(("s", ("b",)), (2,))
-        assert memo.lookup(("s", ("a",))) == (1,)  # refresh "a"
-        memo.store(("s", ("c",)), (3,))  # evicts "b", the LRU entry
-        assert len(memo) == 2
-        assert memo.lookup(("s", ("b",))) is None
-        assert memo.lookup(("s", ("a",))) == (1,)
-        assert memo.lookup(("s", ("c",))) == (3,)
-        hits_misses = memo.stats()
-        assert hits_misses == {"search_memo_hits": 3, "search_memo_misses": 1}
-        memo.clear()
-        assert len(memo) == 0
+    def test_warm_rerun_reads_index_cache(
+        self, paper_relation, paper_constraints
+    ):
+        """Every record a re-run on the same relation needs was written to
+        the index cache by the first run: hits advance, misses do not."""
+        index = get_index(paper_relation)
+        first = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
+        before = index.cache_stats()
+        second = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
+        after = index.cache_stats()
+        assert second == first
+        assert after["cluster_cache_hits"] > before["cluster_cache_hits"]
+        assert after["cluster_cache_misses"] == before["cluster_cache_misses"]

@@ -156,6 +156,8 @@ class TestIngest:
             ({"rows": [["too", "short"]]}, 400),
             ({"rows": [{"A": "a", "B": "b"}]}, 400),
             ({"rows": [42]}, 400),
+            ({"rows": [["a2", [1, 2], "s3"]]}, 400),
+            ({"rows": [{"A": "a", "B": {"y": 1}, "S": "s"}]}, 400),
         ],
     )
     def test_bad_rows_rejected(self, payload, match):
@@ -164,6 +166,32 @@ class TestIngest:
             drive(service, request("POST", "/ingest", payload))
         assert getattr(exc_info.value, "status", None) == match
         assert service.collector.counters[obs.SERVE_ERRORS] == 1
+
+    def test_rejected_row_is_not_buffered(self):
+        """A row with an array cell is refused before buffering, so a good
+        bootstrap sent after it still publishes release 1."""
+        service = make_service(micro_batch=4)
+        bad = [list(r) for r in ROWS[:3]] + [["a2", [1, 2], "s3"]]
+
+        async def _run():
+            await service.start()
+            try:
+                with pytest.raises(Exception) as exc_info:
+                    await service.handle(
+                        request("POST", "/ingest", {"rows": bad})
+                    )
+                good = await service.handle(
+                    request("POST", "/ingest", {"rows": [list(r) for r in ROWS]})
+                )
+                return exc_info.value, good
+            finally:
+                await service.stop()
+
+        error, good = asyncio.run(_run())
+        assert getattr(error, "status", None) == 400
+        assert "rows[3]" in str(error)
+        assert json.loads(good.body)["published"] == [1]
+        assert service.engine.pending_count == 0
 
 
 class TestReleases:
