@@ -47,6 +47,30 @@ from .metrics.diversity_check import check_diversity
 from .metrics.stats import is_k_anonymous
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer ≥ 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer ≥ 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a float ≥ 0."""
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def parse_constraint_file(path: str | Path) -> ConstraintSet:
     """Parse a constraints file (one ``A[a], lo, hi`` per line).
 
@@ -263,7 +287,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         max_steps=args.max_steps,
         bootstrap=args.bootstrap,
         max_deferrals=args.max_deferrals,
-        scoped_batch=args.scoped_batch,
         seed=args.seed,
         max_workers=args.workers,
         executor=args.executor,
@@ -378,7 +401,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_steps=args.max_steps,
         bootstrap=args.bootstrap,
         max_deferrals=args.max_deferrals,
-        scoped_batch=args.scoped_batch,
         seed=args.seed,
         max_workers=args.workers,
         executor=args.executor,
@@ -671,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "columnar:DIR, or descriptor .json",
     )
     p.add_argument("output", help="output CSV path")
-    p.add_argument("-k", type=int, required=True, help="privacy parameter k")
+    p.add_argument("-k", type=positive_int, required=True, help="privacy parameter k")
     p.add_argument("-c", "--constraints", help="diversity constraints file")
     p.add_argument(
         "--strategy", default="maxfanout",
@@ -686,13 +708,13 @@ def build_parser() -> argparse.ArgumentParser:
         "approx pass on budget exhaustion)",
     )
     p.add_argument(
-        "--max-steps", type=int, default=100_000,
+        "--max-steps", type=positive_int, default=100_000,
         help="candidate-evaluation budget of the exact search "
         "(default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=positive_int, default=None,
         help="color constraint-graph components on a pool of this size",
     )
     p.add_argument(
@@ -721,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate an anonymized relation")
     p.add_argument("input", help="anonymized relation (backend spec)")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=positive_int, required=True)
     p.add_argument("-c", "--constraints", help="diversity constraints file")
     p.add_argument(
         "--original", help="original relation (backend spec) for R ⊑ R* checking"
@@ -742,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="generate an evaluation dataset")
     p.add_argument("name", choices=sorted(DATASETS))
     p.add_argument("output", help="output CSV path")
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rows", type=positive_int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(fn=cmd_dataset)
 
     p = sub.add_parser(
@@ -752,28 +774,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", help="input relation (backend spec)")
     p.add_argument("outdir", help="directory for release_NNNN.csv outputs")
-    p.add_argument("-k", type=int, required=True, help="privacy parameter k")
+    p.add_argument("-k", type=positive_int, required=True, help="privacy parameter k")
     p.add_argument("-c", "--constraints", help="diversity constraints file")
     p.add_argument(
-        "--batch-size", type=int, default=100,
+        "--batch-size", type=positive_int, default=100,
         help="tuples per micro-batch (default 100)",
     )
     p.add_argument(
-        "--interval", type=float, default=0.0,
+        "--interval", type=non_negative_float, default=0.0,
         help="seconds to sleep between batches (timed replay)",
     )
     p.add_argument(
-        "--bootstrap", type=int, default=None,
+        "--bootstrap", type=positive_int, default=None,
         help="buffered tuples required before the first release (default k)",
     )
     p.add_argument(
-        "--max-deferrals", type=int, default=2,
+        "--max-deferrals", type=non_negative_int, default=2,
         help="publishes a stranded sub-k residual may wait before a full recompute",
-    )
-    p.add_argument(
-        "--scoped-batch", type=int, default=1,
-        help="defer scoped recomputes and drain the accumulated residual "
-        "queue every Nth round in one pooled run (default 1 = every batch)",
     )
     p.add_argument(
         "--strategy", default="maxfanout",
@@ -785,13 +802,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver tier for recompute runs (see anonymize --solver)",
     )
     p.add_argument(
-        "--max-steps", type=int, default=100_000,
+        "--max-steps", type=positive_int, default=100_000,
         help="candidate-evaluation budget of the exact search "
         "(default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=positive_int, default=None,
         help="pool size for recompute runs (see anonymize --workers)",
     )
     p.add_argument(
@@ -812,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="backend spec providing the stream schema (and optionally "
         "the replayed history / release write-back target)",
     )
-    p.add_argument("-k", type=int, required=True, help="privacy parameter k")
+    p.add_argument("-k", type=positive_int, required=True, help="privacy parameter k")
     p.add_argument("-c", "--constraints", help="diversity constraints file")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -820,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (default 0 = pick a free port and print it)",
     )
     p.add_argument(
-        "--micro-batch", type=int, default=100,
+        "--micro-batch", type=positive_int, default=100,
         help="ingested rows accumulated before the engine publishes "
         "(default 100)",
     )
@@ -835,16 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(sequence-numbered targets)",
     )
     p.add_argument(
-        "--bootstrap", type=int, default=None,
+        "--bootstrap", type=positive_int, default=None,
         help="buffered tuples required before the first release (default k)",
     )
     p.add_argument(
-        "--max-deferrals", type=int, default=2,
+        "--max-deferrals", type=non_negative_int, default=2,
         help="publishes a stranded sub-k residual may wait before a full recompute",
-    )
-    p.add_argument(
-        "--scoped-batch", type=int, default=1,
-        help="scoped-recompute coalescing factor (see stream --scoped-batch)",
     )
     p.add_argument(
         "--strategy", default="maxfanout",
@@ -858,13 +871,13 @@ def build_parser() -> argparse.ArgumentParser:
         "a hard batch indefinitely)",
     )
     p.add_argument(
-        "--max-steps", type=int, default=100_000,
+        "--max-steps", type=positive_int, default=100_000,
         help="candidate-evaluation budget of the exact search "
         "(default %(default)s)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=positive_int, default=None,
         help="pool size for recompute runs (see anonymize --workers)",
     )
     p.add_argument(

@@ -26,8 +26,7 @@ import numpy as np
 from .. import obs
 from ..data.relation import Relation
 from .constraints import DiversityConstraint
-from .costmodel import enumeration_size_caps
-from .enumeration import enumerate_pool
+from .enumeration import enumerate_pool, enumeration_size_caps
 from .index import get_index
 
 
@@ -105,8 +104,8 @@ def enumerate_clusterings(
     builder already has it).
 
     Generation runs on the memoized rank-space engine
-    (:func:`repro.core.enumeration.enumerate_pool`) under the cost-model
-    per-size sampling caps, inside the ``enum.generate`` span, and reports
+    (:func:`repro.core.enumeration.enumerate_pool`) under flat per-size
+    sampling caps, inside the ``enum.generate`` span, and reports
     subsets-generated / dominated-pruned counters.
     """
     if k < 1:
@@ -135,7 +134,7 @@ def enumerate_clusterings(
         return candidates
 
     budget = max_candidates * 3  # oversample, then keep the cheapest
-    caps = enumeration_size_caps(lo, hi, budget, k, schema=relation.schema)
+    caps = enumeration_size_caps(lo, hi, budget)
     with obs.span(obs.SPAN_ENUM_GENERATE):
         body, generated, pruned = enumerate_pool(
             get_index(relation),

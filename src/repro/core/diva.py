@@ -46,6 +46,7 @@ from .enumeration import get_enum_memo
 from .errors import UnsatisfiableError
 from .index import get_index
 from .integrate import IntegrationReport, integrate
+from .parallel import check_process_strategy, component_coloring
 from .problem import KSigmaProblem
 from .strategies import SelectionStrategy, make_strategy
 from .suppress import covered_tids, suppress
@@ -181,6 +182,7 @@ class Diva:
             raise ValueError(
                 f"solver must be one of {SOLVER_TIERS}, got {solver!r}"
             )
+        check_process_strategy(strategy, max_workers, executor)
         self.solver = solver
         self._strategy_spec = strategy
         self._anonymizer_spec = anonymizer
@@ -422,8 +424,6 @@ class Diva:
         of (R, Σ, k, seed) alone — independent of executor flavor, worker
         count and completion order.
         """
-        from .parallel import component_coloring
-
         strategy = self._strategy_spec
         if not isinstance(strategy, str) and self.executor == "thread":
             strategy = self._fresh_strategy(rng)

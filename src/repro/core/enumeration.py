@@ -295,6 +295,20 @@ class _PoolView:
 # -- generation ----------------------------------------------------------------
 
 
+def enumeration_size_caps(lo: int, hi: int, budget: int) -> dict[int, int]:
+    """Per-subset-size sampling caps for candidate enumeration.
+
+    Splits the oversampling ``budget`` evenly across the subset sizes
+    ``lo..hi`` of one constraint, with a floor of 8 per size.  The caps are
+    part of the enumeration memo key, and the reference enumeration of the
+    test oracle consumes the same caps.
+    """
+    if hi < lo:
+        return {}
+    cap = max(8, budget // (hi + 1 - lo))
+    return {s: cap for s in range(lo, hi + 1)}
+
+
 def _seeded_subsets(
     view: _PoolView,
     size: int,

@@ -374,26 +374,7 @@ class RelationIndex:
         if not missing:
             return total
         self._pc_misses += len(missing)
-        art = self.artifacts(sigma)
-        lengths = np.fromiter(
-            (len(c) for c in missing), dtype=np.intp, count=len(missing)
-        )
-        concat = self._concat_rows(missing, int(lengths.sum()))
-        offsets = np.zeros(len(missing), dtype=np.intp)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        nonqi = np.add.reduceat(art.nonqi_mask[concat], offsets, dtype=np.int64)
-        if art.qi_cols.size:
-            # Per-column 1-D gathers: markedly cheaper than one np.ix_
-            # 2-D fancy gather for the handful of columns σ touches.
-            cols, vals = art.qi_cols, art.qi_value_codes
-            row_ok = self.codes[concat, cols[0]] == vals[0]
-            for j in range(1, cols.size):
-                row_ok &= self.codes[concat, cols[j]] == vals[j]
-            qi_ok = np.add.reduceat(row_ok, offsets, dtype=np.int64) == lengths
-            counts = np.where(qi_ok, nonqi, 0)
-        else:
-            counts = nonqi
-        return total + int(counts.sum())
+        return total + int(self._segment_counts(missing, sigma).sum())
 
     def preserved_count_batch(
         self, clusters: Sequence[frozenset], sigma: DiversityConstraint
@@ -430,27 +411,39 @@ class RelationIndex:
                 out[i] = cached
         if not missing:
             return out
-        art = self.artifacts(sigma)
-        lengths = np.fromiter(
-            (len(c) for c in missing), dtype=np.intp, count=len(missing)
-        )
-        concat = self._concat_rows(missing, int(lengths.sum()))
-        offsets = np.zeros(len(missing), dtype=np.intp)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        nonqi = np.add.reduceat(art.nonqi_mask[concat], offsets, dtype=np.int64)
-        if art.qi_cols.size:
-            cols, vals = art.qi_cols, art.qi_value_codes
-            row_ok = self.codes[concat, cols[0]] == vals[0]
-            for j in range(1, cols.size):
-                row_ok &= self.codes[concat, cols[j]] == vals[j]
-            qi_ok = np.add.reduceat(row_ok, offsets, dtype=np.int64) == lengths
-            counts = np.where(qi_ok, nonqi, 0)
-        else:
-            counts = nonqi
+        counts = self._segment_counts(missing, sigma)
         for cluster, pos, count in zip(missing, positions, counts.tolist()):
             sub[cluster] = count
             out[pos] = count
         return out
+
+    def _segment_counts(
+        self, clusters: Sequence[frozenset], sigma: DiversityConstraint
+    ) -> np.ndarray:
+        """Preserved counts of non-empty ``clusters``, bypassing the memo.
+
+        One segment reduction (``np.add.reduceat`` over the concatenated
+        row indices) evaluates every cluster at once: the non-QI count,
+        zeroed for clusters not uniform-and-matching on σ's QI components.
+        """
+        art = self.artifacts(sigma)
+        lengths = np.fromiter(
+            (len(c) for c in clusters), dtype=np.intp, count=len(clusters)
+        )
+        concat = self._concat_rows(clusters, int(lengths.sum()))
+        offsets = np.zeros(len(clusters), dtype=np.intp)
+        np.cumsum(lengths[:-1], out=offsets[1:])
+        nonqi = np.add.reduceat(art.nonqi_mask[concat], offsets, dtype=np.int64)
+        if not art.qi_cols.size:
+            return nonqi
+        # Per-column 1-D gathers: markedly cheaper than one np.ix_ 2-D
+        # fancy gather for the handful of columns σ touches.
+        cols, vals = art.qi_cols, art.qi_value_codes
+        row_ok = self.codes[concat, cols[0]] == vals[0]
+        for j in range(1, cols.size):
+            row_ok &= self.codes[concat, cols[j]] == vals[j]
+        qi_ok = np.add.reduceat(row_ok, offsets, dtype=np.int64) == lengths
+        return np.where(qi_ok, nonqi, 0)
 
     # -- Hamming kernels -----------------------------------------------------
 

@@ -21,9 +21,7 @@ scheduler rather than ``pool.map``:
   count, the ``|Iσ|`` target-pool sizes and the candidate-space cap
   (:func:`estimate_component_cost`); tasks dispatch **largest-first** over
   ``as_completed`` so one big component cannot straggle behind a queue of
-  small ones.  With a calibration configured (:mod:`repro.core.costmodel`)
-  the feature weights are *learned* from each pooled run's observed
-  per-component wall clock instead of assumed.
+  small ones.
 * **Chunking** — components whose estimated cost is far below the
   per-task target are batched into chunked tasks, amortizing pool IPC
   over many tiny searches.
@@ -65,7 +63,6 @@ import numpy as np
 from .. import obs
 from ..obs import tracectx
 from ..data.relation import Relation
-from . import costmodel
 from .coloring import (
     SOLVER_TIERS,
     ColoringResult,
@@ -200,9 +197,8 @@ def _solve_chunk(
     Returns per-component ``(order, result, snapshot, wall_ns)`` tuples —
     one snapshot per component, so the parent can replay them in
     component order regardless of how they were batched, and the
-    component's observed wall clock, which feeds the adaptive cost model
-    — plus the worker's attach time, reported exactly once per worker
-    process.
+    component's solve wall clock — plus the worker's attach time,
+    reported exactly once per worker process.
 
     ``trace`` is the parent's :class:`~repro.obs.tracectx.TraceContext`
     captured inside its ``parallel.schedule`` span.  Contextvars do not
@@ -228,25 +224,11 @@ def _solve_chunk(
     return out, attach_ns
 
 
-# -- cost model ----------------------------------------------------------------
-
-
-def component_features(
-    nodes: list[ConstraintNode], max_candidates: int
-) -> tuple[float, float]:
-    """The two cost features of a component: target-pool mass and
-    candidate mass (candidate-space bound × node count)."""
-    pool = sum(len(node.target_tids) for node in nodes)
-    candidates = sum(
-        min(max_candidates, 1 + len(node.target_tids)) for node in nodes
-    )
-    return float(pool), float(candidates * len(nodes))
+# -- cost estimate -------------------------------------------------------------
 
 
 def estimate_component_cost(
-    nodes: list[ConstraintNode],
-    max_candidates: int,
-    weights: Optional[tuple[float, float]] = None,
+    nodes: list[ConstraintNode], max_candidates: int
 ) -> float:
     """Estimated search effort for one connected component.
 
@@ -254,15 +236,15 @@ def estimate_component_cost(
     the per-component search: candidate enumeration scans each
     constraint's target pool against the candidate cap, and the
     backtracking interleaves the component's constraints, so effort grows
-    with the component's total ``|Iσ|`` mass, its candidate-space bound
-    and its node count.  ``weights`` replaces the default unit feature
-    weights with a learned per-dataset calibration
-    (:mod:`repro.core.costmodel`).  Used only for *ordering* and
-    *chunking* — a misestimate costs balance, never correctness.
+    with the component's total ``|Iσ|`` mass plus its candidate-space
+    bound times its node count.  Used only for *ordering* and *chunking*
+    — a misestimate costs balance, never correctness.
     """
-    pool, candidate_mass = component_features(nodes, max_candidates)
-    w_pool, w_mass = weights if weights is not None else (1.0, 1.0)
-    return w_pool * pool + w_mass * candidate_mass
+    pool = sum(len(node.target_tids) for node in nodes)
+    candidates = sum(
+        min(max_candidates, 1 + len(node.target_tids)) for node in nodes
+    )
+    return float(pool + candidates * len(nodes))
 
 
 def _build_chunks(
@@ -294,6 +276,24 @@ def _build_chunks(
 
 
 # -- the component scheduler ---------------------------------------------------
+
+
+def check_process_strategy(
+    strategy: Union[str, SelectionStrategy],
+    max_workers: Optional[int],
+    executor: str,
+) -> None:
+    """Reject a strategy instance for a process pool.
+
+    A process pool takes the strategy by name, and each worker builds its
+    own.  The check reads only the configuration, so it fails the same
+    way whatever number of components Σ splits into.
+    """
+    pooled = max_workers is not None and max_workers > 1
+    if pooled and executor == "process" and not isinstance(strategy, str):
+        raise ValueError(
+            "process executor needs a strategy name, not an instance"
+        )
 
 
 def component_coloring(
@@ -332,6 +332,7 @@ def component_coloring(
         raise ValueError("executor must be 'thread' or 'process'")
     if solver not in SOLVER_TIERS:
         raise ValueError(f"solver must be one of {SOLVER_TIERS}, got {solver!r}")
+    check_process_strategy(strategy, max_workers, executor)
     graph = build_graph(relation, constraints)
     components = graph.connected_components()
     if not components:
@@ -359,31 +360,16 @@ def component_coloring(
                 break  # mirror the pooled path's early cancellation
         return _merge(components, pairs)
 
-    if executor == "process" and not isinstance(strategy, str):
-        raise ValueError(
-            "process executor needs a strategy name, not an instance"
-        )
     tasks = list(zip(range(len(subsets)), subsets, seed_seqs))
-    # Adaptive cost model: a configured calibration replaces the unit
-    # feature weights for this relation's schema family.  Ordering-only —
-    # seeds, budgets and the Σ-ordered merge below are untouched, so the
-    # learned weights can never change results, only load balance.
-    model = costmodel.get_cost_model()
-    dataset_key = costmodel.schema_key(relation.schema) if model else None
-    learned = model.weights(dataset_key) if model else None
-    features = [
-        component_features([graph.node(i) for i in component], max_candidates)
-        for component in components
-    ]
     costs = [
         estimate_component_cost(
-            [graph.node(i) for i in component], max_candidates, learned
+            [graph.node(i) for i in component], max_candidates
         )
         for component in components
     ]
     chunks = _build_chunks(tasks, costs, max_workers)
     with obs.span(obs.SPAN_PARALLEL_SCHEDULE) as schedule:
-        pairs, walls, telemetry = _run_pool(
+        pairs, telemetry = _run_pool(
             chunks, relation, k, strategy, max_candidates, max_steps,
             collect, max_workers, executor, solver,
         )
@@ -404,11 +390,6 @@ def component_coloring(
     telemetry[obs.PARALLEL_TASKS_CHUNKED] = sum(
         len(chunk) for chunk in chunks if len(chunk) > 1
     )
-    telemetry[obs.PARALLEL_COMPONENT_WALL_NS] = sum(walls.values())
-    if model is not None and walls:
-        for order, wall_ns in walls.items():
-            model.observe(dataset_key, features[order], wall_ns)
-        model.save()
     # Telemetry last, after the component-ordered snapshot replay, and only
     # for pooled runs: sequential counter streams stay byte-identical.
     obs.incr_many(telemetry)
@@ -429,8 +410,7 @@ def _run_pool(
 ) -> tuple[dict, dict]:
     """Dispatch chunks largest-first and drain completions out of order.
 
-    Returns the per-component ``(result, snapshot)`` map, the observed
-    per-component wall clocks (for the adaptive cost model) and the run's
+    Returns the per-component ``(result, snapshot)`` map and the run's
     ``parallel.*`` telemetry.  On the first failed component, pending
     futures are cancelled and in-flight ones are awaited but ignored.
     """
@@ -474,7 +454,7 @@ def _run_pool(
         pool_cls = ThreadPoolExecutor
 
     pairs: dict[int, tuple[ColoringResult, Optional[dict]]] = {}
-    walls: dict[int, int] = {}
+    wall_ns = 0
     attach_ns = 0
     cancelled = 0
     first_done: Optional[float] = None
@@ -489,9 +469,9 @@ def _run_pool(
                 for future in done:
                     solved, task_attach_ns = future.result()
                     attach_ns += task_attach_ns
-                    for order, result, snapshot, wall_ns in solved:
+                    for order, result, snapshot, component_ns in solved:
                         pairs[order] = (result, snapshot)
-                        walls[order] = wall_ns
+                        wall_ns += component_ns
                         failed = failed or not result.success
                 if failed:
                     for future in futures:
@@ -508,7 +488,8 @@ def _run_pool(
         )
     telemetry[obs.PARALLEL_SHM_ATTACH_NS] = attach_ns
     telemetry[obs.PARALLEL_TASKS_CANCELLED] = cancelled
-    return pairs, walls, telemetry
+    telemetry[obs.PARALLEL_COMPONENT_WALL_NS] = wall_ns
+    return pairs, telemetry
 
 
 def _merge(

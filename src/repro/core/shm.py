@@ -31,10 +31,10 @@ Lifecycle: the store is a context manager; :meth:`close` detaches the
 parent's handles and :meth:`unlink` destroys the segments.  A
 ``weakref.finalize`` leak guard releases both if the owner forgets (and
 at interpreter shutdown).  When shared memory is unavailable —
-``/dev/shm``-less containers, platforms without POSIX shm, or the
-``REPRO_DISABLE_SHM`` escape hatch — :func:`shm_available` reports False
-and the scheduler falls back to seeding workers with one pickled relation
-per process (still once per worker, never per task).
+``/dev/shm``-less containers or platforms without POSIX shm —
+:func:`shm_available` reports False and the scheduler falls back to
+seeding workers with one pickled relation per process (still once per
+worker, never per task).
 
 Attach-side note: on CPython < 3.13, ``SharedMemory(name=...)`` registers
 the segment with the resource tracker even for plain attaches
@@ -46,7 +46,6 @@ where supported.
 
 from __future__ import annotations
 
-import os
 import pickle
 import weakref
 from typing import Any, Optional
@@ -61,8 +60,6 @@ try:  # pragma: no cover - import guard for exotic platforms
 except ImportError:  # pragma: no cover
     _shared_memory = None
 
-_DISABLE_ENV = "REPRO_DISABLE_SHM"
-
 #: Cached result of the one-time usability probe (None = not probed yet).
 _probe_result: Optional[bool] = None
 
@@ -70,14 +67,11 @@ _probe_result: Optional[bool] = None
 def shm_available() -> bool:
     """True iff shared-memory transport can be used in this process.
 
-    Checks the ``REPRO_DISABLE_SHM`` escape hatch (any non-empty value
-    disables, for tests and constrained deployments), the import, and —
-    once, cached — an actual create/close/unlink probe, because importing
-    ``multiprocessing.shared_memory`` can succeed on systems where
-    ``shm_open`` later fails (e.g. containers without ``/dev/shm``).
+    Checks the import and — once, cached — an actual create/close/unlink
+    probe, because importing ``multiprocessing.shared_memory`` can succeed
+    on systems where ``shm_open`` later fails (e.g. containers without
+    ``/dev/shm``).
     """
-    if os.environ.get(_DISABLE_ENV):
-        return False
     if _shared_memory is None:
         return False
     global _probe_result

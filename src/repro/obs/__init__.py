@@ -103,7 +103,6 @@ from .names import (  # noqa: F401
     STREAM_RECOMPUTES_FULL,
     STREAM_RECOMPUTES_SCOPED,
     STREAM_RELEASES_PUBLISHED,
-    STREAM_SCOPED_DEFERRED,
     STREAM_TUPLES_EXTENDED,
     STREAM_TUPLES_INGESTED,
     STREAM_TUPLES_RECOMPUTED,

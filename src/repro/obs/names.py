@@ -98,9 +98,8 @@ PARALLEL_TASKS_CANCELLED = "parallel.tasks_cancelled"
 #: tasks after the first one completed (the straggler tail), in nanoseconds.
 PARALLEL_STRAGGLER_WAIT_NS = "parallel.straggler_wait_ns"
 
-#: Parallel runtime: summed observed per-component solve wall clock, in
-#: nanoseconds — the measurement stream feeding the adaptive cost model
-#: (:mod:`repro.core.costmodel`).
+#: Parallel runtime: summed per-component solve wall clock, in nanoseconds
+#: (worker busy time, as opposed to the parent's straggler wait above).
 PARALLEL_COMPONENT_WALL_NS = "parallel.component_wall_ns"
 
 #: Shared-memory relation transport: segments/bytes exported once per pooled
@@ -110,13 +109,6 @@ PARALLEL_SHM_SEGMENTS = "parallel.shm.segments"
 PARALLEL_SHM_BYTES_EXPORTED = "parallel.shm.bytes_exported"
 PARALLEL_SHM_ATTACH_NS = "parallel.shm.attach_ns"
 PARALLEL_SHM_FALLBACKS = "parallel.shm.fallbacks"
-
-#: Streaming engine: scoped-recompute rounds whose pooled drain was
-#: deferred by the ``scoped_batch`` coalescing knob — each deferred round
-#: publishes extension-only and leaves its residuals queued, so one later
-#: scoped DIVA run (a single ``component_coloring`` submission) drains the
-#: whole queue instead of dispatching a pool per round.
-STREAM_SCOPED_DEFERRED = "stream.scoped_deferred"
 
 #: Storage backends (:mod:`repro.io`): rows materialized from a backend
 #: (full loads and micro-batch fetches both count), micro-batches fetched,
@@ -189,7 +181,6 @@ ALL_COUNTERS = (
     STREAM_RECOMPUTES_SCOPED,
     STREAM_RECOMPUTES_FULL,
     STREAM_RELEASES_PUBLISHED,
-    STREAM_SCOPED_DEFERRED,
     IO_ROWS_READ,
     IO_BATCHES_FETCHED,
     IO_RELEASES_WRITTEN,

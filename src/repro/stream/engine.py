@@ -57,10 +57,6 @@ class StreamStats:
     tuples_recomputed: int = 0
     scoped_recomputes: int = 0
     full_recomputes: int = 0
-    #: Scoped recomputes skipped by batching (``scoped_batch`` > 1): the
-    #: batch published extension-only and its residuals joined the queue
-    #: for one pooled scoped drain later.
-    scoped_deferred: int = 0
     releases: int = 0
     #: Wall clock of every publish attempt (the ``stream.publish`` region),
     #: as a mergeable log-scale histogram — the per-batch latency profile a
@@ -87,16 +83,6 @@ class StreamingAnonymizer:
         How many publishes a stranded sub-``k`` residual group may sit in
         the buffer before a full recompute drains it (0 = recompute
         immediately, as soon as a batch strands fewer than k residuals).
-    scoped_batch:
-        Scoped-recompute coalescing factor (default 1 = recompute every
-        batch, the historical behavior).  With ``scoped_batch = b``, up to
-        ``b - 1`` consecutive batches whose residuals would trigger a
-        scoped recompute instead publish extension-only (their residuals
-        stay buffered), and the *b*-th round drains the whole accumulated
-        residual queue in one scoped DIVA run — one pooled
-        ``component_coloring`` dispatch instead of ``b`` small ones.
-        Deferral trades release latency for the deferred residuals
-        against recompute throughput; :meth:`flush` always drains.
     max_workers / executor:
         Forwarded to the recompute :class:`Diva` — full and scoped
         recompute runs color constraint-graph components on a pool of this
@@ -125,7 +111,6 @@ class StreamingAnonymizer:
         max_steps: Optional[int] = 100_000,
         bootstrap: Optional[int] = None,
         max_deferrals: int = 2,
-        scoped_batch: int = 1,
         seed: int = 0,
         max_workers: Optional[int] = None,
         executor: str = "thread",
@@ -133,14 +118,11 @@ class StreamingAnonymizer:
     ):
         if k < 1:
             raise ValueError("k must be at least 1")
-        if scoped_batch < 1:
-            raise ValueError("scoped_batch must be at least 1")
         constraints.validate_against(schema)
         self.schema = schema
         self.constraints = constraints
         self.k = k
         self.max_deferrals = max_deferrals
-        self.scoped_batch = scoped_batch
         self._bootstrap = max(k, bootstrap if bootstrap is not None else k)
         self._diva = Diva(
             strategy=strategy,
@@ -158,7 +140,6 @@ class StreamingAnonymizer:
         self._pending: list[tuple[int, tuple]] = []  # (tid, original row)
         self._next_tid = 0
         self._deferrals = 0
-        self._scoped_rounds = 0  # consecutive scoped publishes deferred
         #: Sequence → trace id of the request whose publish produced it
         #: (only sequences published under an active trace context appear;
         #: metadata-sized, like the ledger's stamp trail).
@@ -260,21 +241,6 @@ class StreamingAnonymizer:
             return self._publish_full("full", force)
 
         if len(residuals) >= self.k:
-            if not force and self._scoped_rounds + 1 < self.scoped_batch:
-                # Coalescing window still open: keep the residuals queued
-                # for one pooled scoped drain later, publishing extension-
-                # only so admitted tuples still reach readers immediately.
-                # A validation-rejected extension falls through and drains
-                # now — deferral must never lose a publishable batch.
-                if state.admitted:
-                    release = self._publish_extension(state, residuals)
-                else:
-                    release = None
-                if release is not None or not state.admitted:
-                    self._scoped_rounds += 1
-                    self.stats.scoped_deferred += 1
-                    obs.incr(obs.STREAM_SCOPED_DEFERRED)
-                    return release
             release = self._publish_scoped(state, residuals)
             if release is not None:
                 return release
@@ -411,7 +377,6 @@ class StreamingAnonymizer:
         self._pending = list(residuals)
         if not residuals:
             self._deferrals = 0
-            self._scoped_rounds = 0
         obs.incr(obs.STREAM_RELEASES_PUBLISHED)
         self.stats.releases += 1
 

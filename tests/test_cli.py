@@ -299,6 +299,28 @@ class TestParser:
         with pytest.raises(SystemExit, match="unknown artifact"):
             main(["bench", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["anonymize", "x.csv", "o.csv", "-k", "0"],
+            ["anonymize", "x.csv", "o.csv", "-k", "2", "--max-steps", "-5"],
+            ["anonymize", "x.csv", "o.csv", "-k", "2", "--seed", "-1"],
+            ["stream", "x.csv", "out", "-k", "2", "--batch-size", "0"],
+            ["stream", "x.csv", "out", "-k", "2", "--interval", "-1"],
+            ["dataset", "census", "x.csv", "--rows", "-5"],
+            ["serve", "x.csv", "-k", "2", "--micro-batch", "0"],
+            ["check", "x.csv", "-k", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_out_of_range_numbers_exit_2(self, argv, capsys):
+        """A number outside its range is a usage error, caught at parse
+        time — before any input is read or any engine is built."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_table4_artifact(self, capsys, monkeypatch):
@@ -530,3 +552,5 @@ class TestTraceCommand:
             asyncio.run_coroutine_threadsafe(service.stop(), loop).result(10)
             loop.call_soon_threadsafe(loop.stop)
             thread.join(10)
+            assert not thread.is_alive()
+            loop.close()

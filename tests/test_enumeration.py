@@ -3,9 +3,8 @@
 Pins the engine byte-identical to the reference enumeration of
 ``tests/oracle.py`` (content, order, tid types and RNG stream), the
 content-addressed memo's transparency (warm results and generator states
-match cold runs exactly), the cost-model per-size sampling caps both
-consult, and the np.int64-coercion regression in the reference sampled
-path.
+match cold runs exactly), the flat per-size sampling caps both consume,
+and the np.int64-coercion regression in the reference sampled path.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import costmodel
 from repro.core.clusterings import enumerate_clusterings
 from repro.core.constraints import ConstraintSet, DiversityConstraint
-from repro.core.costmodel import CostModel, enumeration_size_caps, schema_key
 from repro.core.diva import Diva
-from repro.core.enumeration import get_enum_memo
+from repro.core.enumeration import enumeration_size_caps, get_enum_memo
 from repro.data.datasets import make_census
 from repro.data.relation import Relation, Schema
 from repro.stream import StreamingAnonymizer
@@ -248,46 +245,20 @@ class TestEnumerationMemo:
         )
 
 
-# -- cost-model sampling caps --------------------------------------------------
+# -- per-size sampling caps ----------------------------------------------------
 
 
 class TestEnumerationSizeCaps:
     def test_empty_window(self):
-        assert enumeration_size_caps(6, 5, 192, 2) == {}
+        assert enumeration_size_caps(6, 5, 192) == {}
 
     def test_uncalibrated_is_flat_historical_policy(self):
-        caps = enumeration_size_caps(3, 8, 192, 2)
+        caps = enumeration_size_caps(3, 8, 192)
         assert caps == {s: 192 // 6 for s in range(3, 9)}
         # The floor of 8 survives tiny budgets.
-        assert enumeration_size_caps(2, 11, 10, 2) == {
+        assert enumeration_size_caps(2, 11, 10) == {
             s: 8 for s in range(2, 12)
         }
-
-    def test_calibrated_allocates_inverse_to_cost(self):
-        model = CostModel()
-        key = schema_key(SCHEMA)
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            pool = int(rng.integers(10, 200))
-            mass = int(rng.integers(5, 50))
-            model.observe(key, (pool, mass), 100 * pool + 400 * mass)
-        assert model.weights(key) is not None
-        costmodel.configure_cost_model(model)
-        try:
-            caps = enumeration_size_caps(2, 9, 192, 2, schema=SCHEMA)
-        finally:
-            costmodel.configure_cost_model(None)
-        assert set(caps) == set(range(2, 10))
-        assert all(c >= 8 for c in caps.values())
-        # Cheaper (smaller) sizes, visited first, get at least the budget
-        # share of the costlier ones.
-        sizes = sorted(caps)
-        assert all(
-            caps[a] >= caps[b] for a, b in zip(sizes, sizes[1:])
-        )
-        # Calibration actually shifted allocation off the flat policy.
-        flat = enumeration_size_caps(2, 9, 192, 2)
-        assert caps != flat
 
 
 # -- streaming reuse -----------------------------------------------------------

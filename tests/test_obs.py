@@ -439,7 +439,6 @@ class TestTaxonomy:
             "stream.recomputes_scoped",
             "stream.recomputes_full",
             "stream.releases_published",
-            "stream.scoped_deferred",
             "io.rows_read",
             "io.batches_fetched",
             "io.releases_written",

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.coloring import SearchStats, diverse_clustering
 from repro.core.constraints import ConstraintSet, DiversityConstraint
-from repro.core import costmodel
 from repro.core.parallel import (
     _build_chunks,
     component_coloring,
-    component_features,
     estimate_component_cost,
 )
 from repro.core.suppress import suppress
@@ -113,21 +111,31 @@ class TestProcessPool:
         assert set(processed.clustering) == set(threaded.clustering)
 
     def test_strategy_instance_rejected_for_processes(self, paper_relation):
-        import pytest as _pytest
-
+        from repro.core.diva import Diva
         from repro.core.strategies import MaxFanOutStrategy
 
-        constraints = ConstraintSet(
+        two_components = ConstraintSet(
             [
                 DiversityConstraint("ETH", "Asian", 2, 5),
                 DiversityConstraint("ETH", "African", 1, 3),
             ]
         )
-        with _pytest.raises(ValueError, match="strategy name"):
-            component_coloring(
-                paper_relation, constraints, k=2,
-                max_workers=2, executor="process",
-                strategy=MaxFanOutStrategy(),
+        one_component = ConstraintSet(
+            [DiversityConstraint("ETH", "Asian", 2, 5)]
+        )
+        # The configuration is what is wrong, so Σ's shape must not matter:
+        # a one-component Σ (which never reaches a pool) is rejected too.
+        for constraints in (two_components, one_component):
+            with pytest.raises(ValueError, match="strategy name"):
+                component_coloring(
+                    paper_relation, constraints, k=2,
+                    max_workers=2, executor="process",
+                    strategy=MaxFanOutStrategy(),
+                )
+        # Diva rejects the same configuration when it is built, not mid-run.
+        with pytest.raises(ValueError, match="strategy name"):
+            Diva(
+                strategy=MaxFanOutStrategy(), max_workers=2, executor="process"
             )
 
     def test_unknown_executor(self, paper_relation):
@@ -196,7 +204,7 @@ class TestZeroComponents:
         assert result.clustering == ()
 
 
-class TestCostModel:
+class TestCostEstimate:
     def _nodes(self, relation, sigmas):
         from repro.core.graph import build_graph
 
@@ -258,6 +266,7 @@ class TestScheduler:
         assert collector.counters[obs.PARALLEL_COMPONENTS] == n_components
         assert collector.counters[obs.PARALLEL_TASKS_DISPATCHED] >= 1
         assert collector.counters.get(obs.PARALLEL_TASKS_CANCELLED, 0) == 0
+        assert collector.counters[obs.PARALLEL_COMPONENT_WALL_NS] > 0
 
     def test_sequential_run_emits_no_parallel_telemetry(self, paper_relation):
         with obs.collecting() as collector:
@@ -306,9 +315,7 @@ class TestScheduler:
     def test_process_pool_falls_back_without_shm(
         self, paper_relation, monkeypatch
     ):
-        import repro.core.shm as shm_mod
-
-        monkeypatch.setenv(shm_mod._DISABLE_ENV, "1")
+        monkeypatch.setattr("repro.core.shm.shm_available", lambda: False)
         with obs.collecting() as collector:
             result = component_coloring(
                 paper_relation,
@@ -374,7 +381,7 @@ class TestSharedRelationStore:
     def test_store_requires_shm(self, paper_relation, monkeypatch):
         import repro.core.shm as shm_mod
 
-        monkeypatch.setenv(shm_mod._DISABLE_ENV, "1")
+        monkeypatch.setattr(shm_mod, "shm_available", lambda: False)
         with pytest.raises(RuntimeError, match="shared memory"):
             shm_mod.SharedRelationStore(paper_relation)
 
@@ -451,166 +458,37 @@ class TestExecutorEquivalence:
             assert counters == seq_counters
 
 
-class TestAdaptiveCostModel:
-    """Measurement-fed calibration: learning, persistence, and the
-    ordering-only safety property (equivalence under adversarial weights)."""
-
-    SIGMA = [
-        DiversityConstraint("ETH", "Asian", 2, 5),
-        DiversityConstraint("ETH", "African", 1, 3),
-        DiversityConstraint("GEN", "Female", 2, 5),
-    ]
-
-    @pytest.fixture(autouse=True)
-    def _isolated_model(self):
-        yield
-        costmodel.configure_cost_model(None)
-
-    def test_weights_change_ordering(self, paper_relation):
-        from repro.core.graph import build_graph
-
-        graph = build_graph(
-            paper_relation,
-            ConstraintSet(
-                [
-                    DiversityConstraint("ETH", "African", 1, 3),
-                    DiversityConstraint("GEN", "Male", 1, 6),
-                ]
-            ),
-        )
-        small, large = [graph.node(0)], [graph.node(1)]
-        # Default unit weights rank by raw feature mass...
-        assert estimate_component_cost(large, 64) > estimate_component_cost(
-            small, 64
-        )
-        # ...but a calibration that prices candidate mass at zero and the
-        # pool feature extremely can invert which component looks big —
-        # that is the point of learning, and all it may affect.
-        pool_s, _ = component_features(small, 64)
-        pool_l, _ = component_features(large, 64)
-        assert pool_l > pool_s
-        inverted = (0.0, 1.0)
-        heavy_pool = (1e9, 0.0)
-        assert estimate_component_cost(
-            large, 64, heavy_pool
-        ) > estimate_component_cost(small, 64, heavy_pool)
-        assert estimate_component_cost(small, 64, inverted) > 0.0
-
-    def test_fit_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "calibration.json"
-        model = costmodel.CostModel(path)
-        key = "test-key"
-        # wall = 100·pool + 0·mass, exactly recoverable by least squares.
-        for pool in range(1, 13):
-            model.observe(key, (float(pool), float(pool % 3)), pool * 100)
-        w_pool, w_mass = model.weights(key)
-        assert w_pool == pytest.approx(100.0, rel=1e-6)
-        assert w_mass == pytest.approx(0.0, abs=1e-6)
-        assert model.save() == path
-
-        reloaded = costmodel.CostModel.load(path)
-        assert reloaded.observation_count(key) == 12
-        rw_pool, rw_mass = reloaded.weights(key)
-        assert rw_pool == pytest.approx(w_pool)
-        assert rw_mass == pytest.approx(w_mass, abs=1e-6)
-
-    def test_too_few_observations_keep_default_weights(self):
-        model = costmodel.CostModel()
-        for i in range(costmodel.MIN_OBSERVATIONS - 1):
-            model.observe("k", (1.0, 1.0), 100)
-        assert model.weights("k") is None
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
-            "[1, 2]",
-            '{"schema_version": 1, "datasets": [1]}',
-            '{"schema_version": 1, "datasets": '
-            '{"x": {"observations": [[1, 2, 3], [1, 2]]}}}',
-            '{"schema_version": 1, "datasets": '
-            '{"x": {"observations": [[1, 2, 3], ["a", 2, 3]]}}}',
-        ],
-        ids=["not-json", "array", "datasets-array", "short-row", "text-cell"],
-    )
-    def test_corrupt_calibration_file_is_ignored(self, tmp_path, text):
-        path = tmp_path / "broken.json"
-        path.write_text(text)
-        model = costmodel.CostModel.load(path)
-        assert model.observation_count("x") == 0
-
-    def test_pooled_runs_feed_observations(self, paper_relation):
-        model = costmodel.CostModel()
-        costmodel.configure_cost_model(model)
-        key = costmodel.schema_key(paper_relation.schema)
-        with obs.collecting() as collector:
-            result = component_coloring(
-                paper_relation,
-                ConstraintSet(self.SIGMA),
-                k=2,
-                max_workers=2,
-            )
-        assert result.success
-        # One observation per component, and the taxonomy carries the
-        # summed measurement for offline analysis.
-        assert (
-            model.observation_count(key)
-            == collector.counters[obs.PARALLEL_COMPONENTS]
-        )
-        assert collector.counters[obs.PARALLEL_COMPONENT_WALL_NS] > 0
-
-    def test_sequential_runs_do_not_observe(self, paper_relation):
-        model = costmodel.CostModel()
-        costmodel.configure_cost_model(model)
-        key = costmodel.schema_key(paper_relation.schema)
-        result = component_coloring(
-            paper_relation, ConstraintSet(self.SIGMA), k=2
-        )
-        assert result.success
-        assert model.observation_count(key) == 0
-
-    def test_observations_persist_when_path_configured(
-        self, paper_relation, tmp_path
-    ):
-        path = tmp_path / "cal.json"
-        costmodel.configure_cost_model(costmodel.CostModel(path))
-        component_coloring(
-            paper_relation, ConstraintSet(self.SIGMA), k=2, max_workers=2
-        )
-        assert path.is_file()
-        key = costmodel.schema_key(paper_relation.schema)
-        assert costmodel.CostModel.load(path).observation_count(key) >= 2
+class TestDispatchOrder:
+    """Dispatch order is load balance only: results never depend on it."""
 
     @given(eq_rows, eq_sigma)
     @settings(max_examples=4, deadline=None)
-    def test_equivalence_with_adversarial_calibration(self, rows, sigmas):
-        """Byte-identical three-executor results survive a hostile model.
+    def test_equivalence_under_inverted_cost_order(self, rows, sigmas):
+        """Byte-identical three-executor results when the scheduler
+        dispatches smallest-first.
 
-        The calibration below prices every component's cost as dominated
-        by whichever feature misranks hardest (weights fitted from
-        fabricated inverted measurements), so the dispatch order is as
-        wrong as learning can make it — results must not move."""
+        Negating every cost estimate inverts the largest-first order (and
+        reshapes the chunks), which is as wrong as the scheduler's ordering
+        can get — results must not move."""
         relation = Relation(EQ_SCHEMA, rows)
         sigma = ConstraintSet(sigmas)
-        costmodel.configure_cost_model(None)
         seq, seq_counters = TestExecutorEquivalence._run(relation, sigma)
 
-        adversarial = costmodel.CostModel()
-        key = costmodel.schema_key(EQ_SCHEMA)
-        # Fabricated data: wall clock *falls* as features grow, fitting
-        # weights that invert the real ranking (clamped at 0 for pool).
-        for i in range(1, 13):
-            adversarial.observe(key, (float(i), float(13 - i)), (13 - i) * 50)
-        costmodel.configure_cost_model(adversarial)
-        try:
+        import repro.core.parallel as parallel_mod
+
+        estimate = parallel_mod.estimate_component_cost
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                parallel_mod,
+                "estimate_component_cost",
+                lambda nodes, max_candidates: -estimate(nodes, max_candidates),
+            )
             thr, thr_counters = TestExecutorEquivalence._run(
                 relation, sigma, max_workers=4
             )
             prc, prc_counters = TestExecutorEquivalence._run(
                 relation, sigma, max_workers=2, executor="process"
             )
-        finally:
-            costmodel.configure_cost_model(None)
         assert thr.success == seq.success
         assert prc.success == seq.success
         if not seq.success:

@@ -214,106 +214,6 @@ class TestExtend:
             previous = release.relation
 
 
-class TestScopedBatch:
-    """Scoped-recompute coalescing (``scoped_batch`` > 1)."""
-
-    def test_deferred_rounds_then_one_pooled_drain(self, ab_schema):
-        engine = StreamingAnonymizer(
-            ab_schema, tight_sigma(), 2, bootstrap=4, scoped_batch=3
-        )
-        engine.ingest(BOOT_ROWS)
-        with obs.collecting() as collector:
-            # Two rounds of unabsorbable residuals stay queued...
-            assert engine.ingest([("a3", "b3", "s1"), ("a3", "b3", "s9")]) is None
-            assert engine.ingest([("a4", "b4", "s2"), ("a4", "b4", "s7")]) is None
-            assert engine.pending_count == 4
-            assert engine.stats.scoped_deferred == 2
-            assert collector.counters[obs.STREAM_SCOPED_DEFERRED] == 2
-            # ...and the third round drains the whole queue in ONE scoped run.
-            release = engine.ingest([("a5", "b5", "s3"), ("a5", "b5", "s4")])
-        assert release is not None and release.mode == "scoped"
-        assert release.recomputed == 6
-        assert engine.stats.scoped_recomputes == 1
-        assert collector.counters[obs.STREAM_RECOMPUTES_SCOPED] == 1
-        assert engine.pending_count == 0
-        assert is_k_anonymous(release.relation, 2)
-        assert tight_sigma().is_satisfied_by(release.relation)
-
-    def test_extension_still_publishes_during_deferral(self, ab_schema):
-        sigma = ConstraintSet(
-            [
-                DiversityConstraint("A", "a1", 2, 3),
-                DiversityConstraint("B", "b1", 2, 3),
-                DiversityConstraint("A", "a2", 2, 2),
-                DiversityConstraint("B", "b2", 2, 2),
-            ]
-        )
-        engine = StreamingAnonymizer(
-            ab_schema, sigma, 2, bootstrap=4, scoped_batch=3
-        )
-        engine.ingest(BOOT_ROWS)
-        # The a1b1 arrival extends the existing group immediately even
-        # though the a3b3 residuals are deferred — admitted tuples must
-        # not wait for the pooled drain.
-        release = engine.ingest(
-            [("a1", "b1", "s5"), ("a3", "b3", "s1"), ("a3", "b3", "s2")]
-        )
-        assert release is not None and release.mode == "extend"
-        assert release.extended == 1 and release.pending == 2
-        assert engine.stats.scoped_deferred == 1
-
-    def test_flush_drains_regardless_of_window(self, ab_schema):
-        engine = StreamingAnonymizer(
-            ab_schema, tight_sigma(), 2, bootstrap=4, scoped_batch=10
-        )
-        engine.ingest(BOOT_ROWS)
-        assert engine.ingest([("a3", "b3", "s1"), ("a3", "b3", "s9")]) is None
-        release = engine.flush()
-        assert release is not None and engine.pending_count == 0
-        assert is_k_anonymous(release.relation, 2)
-
-    def test_scoped_batch_one_is_byte_identical(self):
-        relation = make_census(seed=7, n_rows=240)
-        sigma = proportion_constraints(relation, 3, k=3, seed=7)
-        rows = [row for _, row in relation]
-        outputs = []
-        for kwargs in ({}, {"scoped_batch": 1}):
-            engine = StreamingAnonymizer(
-                relation.schema, sigma, 3, bootstrap=120, seed=0, **kwargs
-            )
-            for start in range(0, len(rows), 40):
-                engine.ingest(rows[start:start + 40])
-            engine.flush()
-            outputs.append(
-                (engine.release.relation, [s.mode for s in engine.ledger.stamps])
-            )
-        assert outputs[0][0] == outputs[1][0]
-        assert outputs[0][1] == outputs[1][1]
-
-    def test_batched_releases_all_stay_valid(self, ab_schema):
-        # Every release published while the window is open must itself
-        # satisfy (k, Σ) — deferral changes scheduling, not the contract.
-        sigma = ConstraintSet([DiversityConstraint("A", "a1", 2, 9)])
-        engine = StreamingAnonymizer(
-            ab_schema, sigma, 2, bootstrap=4, scoped_batch=2
-        )
-        engine.ingest(BOOT_ROWS)
-        for batch in (
-            [("a1", "b1", "s5"), ("a1", "b1", "s6")],
-            [("a1", "b9", "s7"), ("a9", "b1", "s8")],
-            [("a1", "b1", "s9"), ("a5", "b5", "s1")],
-        ):
-            engine.ingest(batch)
-        engine.flush()
-        assert is_k_anonymous(engine.release.relation, 2)
-        assert sigma.is_satisfied_by(engine.release.relation)
-        assert engine.pending_count == 0
-
-    def test_scoped_batch_validated(self, ab_schema):
-        with pytest.raises(ValueError, match="scoped_batch"):
-            StreamingAnonymizer(ab_schema, ConstraintSet(), 2, scoped_batch=0)
-
-
 class TestScopedRecompute:
     def test_residuals_get_their_own_clusters(self, ab_schema):
         engine = StreamingAnonymizer(ab_schema, tight_sigma(), 2, bootstrap=4)
